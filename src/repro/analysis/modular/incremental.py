@@ -24,11 +24,10 @@ on:
 - the *seeds digest* — the joined interface states injected at the
   region's entry blocks, including the global RET-join contribution.
 
-Records persist as JSONL in the house durability style: whole-file
-rewrite through :func:`repro.campaign.store.atomic_write` (same-dir tmp +
-fsync + ``os.replace``) with a per-record :func:`~repro.campaign.store
-.checksum`; loads are corruption-tolerant (torn lines, bad checksums, and
-foreign schemas are skipped and counted, never fatal).
+Records persist as checksummed JSONL through :mod:`repro.store`
+(DESIGN.md § "Durable state"): whole-file atomic rewrites, and
+corruption-tolerant loads (torn lines, bad checksums and foreign schemas
+are skipped and counted, never fatal).
 
 :func:`function_digests` / :func:`dirty_functions` expose the
 reverse-call-graph dirtying relation by *name*: editing one function
@@ -39,7 +38,6 @@ cache.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -49,15 +47,11 @@ from repro.analysis.cfg import CFG
 from repro.analysis.taint import (
     BranchFact, LoadFact, State, StoreFact, Value)
 from repro.analysis.modular.callgraph import CallGraph
-from repro.campaign.store import atomic_write, checksum
 from repro.isa.program import Program
+from repro.store import canonical, load_records, write_records
 
 #: Persistent record schema; bump on any layout or semantics change.
 SUMMARY_SCHEMA = "repro-summary/1"
-
-
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _sha(text: str) -> str:
@@ -213,7 +207,7 @@ def region_content_digest(cfg: CFG, blocks: Iterable[int]) -> str:
         block = cfg.blocks[index]
         rows.append([block.start,
                      [_instr_fields(instr) for instr in block.instructions]])
-    return _sha(_canonical(rows))
+    return _sha(canonical(rows))
 
 
 def region_edges_digest(cfg: CFG, blocks: Iterable[int]) -> str:
@@ -224,7 +218,7 @@ def region_edges_digest(cfg: CFG, blocks: Iterable[int]) -> str:
         succs = sorted((cfg.blocks[succ].start, kind)
                        for succ, kind in block.successors)
         rows.append([block.start, [[addr, kind] for addr, kind in succs]])
-    return _sha(_canonical(rows))
+    return _sha(canonical(rows))
 
 
 def environment_fingerprint(
@@ -247,19 +241,19 @@ def environment_fingerprint(
         "secret_ranges": [list(r) for r in sorted(secret_ranges)],
         "caps": [CONST_CAP, PAIR_CAP, SUMMARY_CAP],
     }
-    return _sha(_canonical(payload))
+    return _sha(canonical(payload))
 
 
 def seeds_digest(seeds: Mapping[int, State]) -> str:
-    return _sha(_canonical({str(addr): state_to_json(state)
-                            for addr, state in seeds.items()}))
+    return _sha(canonical({str(addr): state_to_json(state)
+                           for addr, state in seeds.items()}))
 
 
 def region_key(content: str, edges: str, env: str,
                stale: Iterable[int], seeds: str) -> str:
     """The full cache key for one (region × interface inputs) record."""
-    return _sha(_canonical([SUMMARY_SCHEMA, content, edges, env,
-                            sorted(stale), seeds]))
+    return _sha(canonical([SUMMARY_SCHEMA, content, edges, env,
+                           sorted(stale), seeds]))
 
 
 # -- function-level digests: the dirtying relation ----------------------------
@@ -298,9 +292,7 @@ class SummaryCache:
 
     Keys are :func:`region_key` digests; dirtying is *implicit* — an
     edited function's content digest changes, so its old records simply
-    never match again (they linger until :meth:`flush` rewrites the
-    file, which drops records not touched this session only when
-    ``compact=True``).
+    never match again (they stay in the file, unread).
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -309,7 +301,6 @@ class SummaryCache:
         self.misses = 0
         self.rejected = 0
         self._records: Dict[str, dict] = {}
-        self._touched: set = set()
         self._dirty = False
         if path is not None:
             self._load(path)
@@ -323,31 +314,9 @@ class SummaryCache:
         return self.hits / total if total else 0.0
 
     def _load(self, path: str) -> None:
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.rejected += 1
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("schema") != SUMMARY_SCHEMA
-                    or "key" not in record or "payload" not in record):
-                self.rejected += 1
-                continue
-            stated = record.get("sha256")
-            if stated != checksum(record):
-                self.rejected += 1
-                continue
+        records, rejects = load_records(path, SUMMARY_SCHEMA)
+        self.rejected += len(rejects)
+        for record in records:
             self._records[record["key"]] = record["payload"]
 
     def get(self, key: str) -> Optional[dict]:
@@ -357,7 +326,6 @@ class SummaryCache:
             self.misses += 1
             return None
         self.hits += 1
-        self._touched.add(key)
         return payload
 
     def unbook_hit(self) -> None:
@@ -367,25 +335,17 @@ class SummaryCache:
 
     def put(self, key: str, payload: dict) -> None:
         self._records[key] = payload
-        self._touched.add(key)
         self._dirty = True
 
-    def flush(self, compact: bool = False) -> None:
-        """Rewrite the backing file atomically (no-op without a path).
-
-        ``compact=True`` keeps only records read or written this session,
-        shedding entries orphaned by edits.
-        """
-        if self.path is None or not (self._dirty or compact):
+    def flush(self) -> None:
+        """Rewrite the backing file atomically (no-op without a path or
+        without new records)."""
+        if self.path is None or not self._dirty:
             return
-        keys = sorted(self._touched if compact else self._records)
-        lines = []
-        for key in keys:
-            record = {"schema": SUMMARY_SCHEMA, "key": key,
-                      "payload": self._records[key]}
-            record["sha256"] = checksum(record)
-            lines.append(_canonical(record))
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        atomic_write(self.path, "\n".join(lines) + ("\n" if lines else ""))
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)),
+                    exist_ok=True)
+        write_records(self.path, (
+            {"schema": SUMMARY_SCHEMA, "key": key,
+             "payload": self._records[key]}
+            for key in sorted(self._records)))
         self._dirty = False

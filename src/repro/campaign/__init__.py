@@ -18,19 +18,15 @@ from repro.campaign.cells import (CampaignConfig, CellSpec, FIGURES,
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.scheduler import (AttemptFailure, CampaignOutcome,
                                       CampaignScheduler)
-from repro.campaign.store import (CorruptRecord, ResultStore, atomic_write,
-                                  checksum)
+from repro.campaign.store import ResultStore
 from repro.campaign.worker import run_cell
 
 __all__ = [
     "AttemptFailure",
-    "atomic_write",
     "CampaignConfig",
     "CampaignOutcome",
     "CampaignScheduler",
     "CellSpec",
-    "checksum",
-    "CorruptRecord",
     "FIGURES",
     "Heartbeat",
     "ResultStore",

@@ -19,7 +19,7 @@ import os
 import time
 from typing import Optional
 
-from repro.campaign.store import atomic_write
+from repro.store import atomic_write
 
 
 class Heartbeat:

@@ -44,9 +44,10 @@ from typing import Callable, Dict, List, Optional
 from repro.campaign import pool
 from repro.campaign.cells import (CampaignConfig, CellSpec, rows_from_records)
 from repro.campaign.pool import AdaptiveWait, WorkerExit, WorkerProcess
-from repro.campaign.store import CorruptRecord, ResultStore, atomic_write
+from repro.campaign.store import ResultStore
 from repro.config import DefenseKind
 from repro.eval.experiments import ExperimentRow, render_rows
+from repro.store import Reject, atomic_write
 from repro.telemetry.obs import (SPAN_CHECKPOINT_RESTORE, FlightRecorder,
                                  SpanRecorder, new_trace_id)
 from repro.telemetry.prometheus import render_prometheus
@@ -118,7 +119,7 @@ class CampaignOutcome:
     cells: List[CellSpec]
     completed: Dict[str, dict]
     failed: Dict[str, List[AttemptFailure]]
-    corrupt: List[CorruptRecord]
+    corrupt: List[Reject]
     #: Cells found already done in the store (the resume fast path).
     skipped: int = 0
     #: The campaign was stopped by SIGTERM/SIGINT before finishing; the
@@ -173,7 +174,8 @@ class CampaignOutcome:
                        for cell_id, failures in self.failed.items()},
             "corrupt_records": [
                 {"line_no": c.line_no, "reason": c.reason,
-                 "cell_id": c.cell_id} for c in self.corrupt],
+                 "cell_id": str((c.record or {}).get("cell_id", ""))}
+                for c in self.corrupt],
             "degradations": self.degradations,
             "resumable": self.interrupted,
             "ok": self.ok,

@@ -8,79 +8,24 @@ Layout of one run directory::
       work/             # per-attempt scratch: cell specs, outputs, heartbeats
       report.json       # structured failure report (written at campaign end)
 
-Durability story:
-
-- **Atomic writes** — every mutation rewrites the target through a
-  same-directory temp file and ``os.replace`` (fsync'd first), so a crash —
-  even SIGKILL mid-write — leaves either the old file or the new file, never
-  an interleaving.  For ``results.jsonl`` the replace carries the existing
-  records plus the appended line.
-- **Per-record checksums** — each record embeds the SHA-256 of its own
-  canonical JSON.  ``load()`` recomputes it; a truncated tail, a flipped
-  byte, or a half-merged line fails closed: the record is *reported* as
-  corrupt and its cell re-queued, never silently trusted.
-- **Schema versioning** — records and manifest carry ``schema``; a store
-  written by an incompatible version re-runs those cells rather than
-  misinterpreting them.
+Durability is :mod:`repro.store`'s protocol (DESIGN.md § "Durable
+state"): atomic rewrites, per-record SHA-256, and a corruption-tolerant
+load.  A truncated tail, a flipped byte or a record of another schema is
+*reported* as corrupt and its cell re-queued, never silently trusted; a
+missing or foreign manifest fails closed with
+:class:`~repro.errors.CampaignError`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cells import SCHEMA_VERSION, CampaignConfig, CellSpec
-from repro.errors import CampaignError, ManifestMismatch, ResultCorruption
-
-_CHECKSUM_FIELD = "sha256"
-
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def checksum(record: dict) -> str:
-    """SHA-256 over the record's canonical JSON (checksum field excluded)."""
-    body = {k: v for k, v in record.items() if k != _CHECKSUM_FIELD}
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
-
-
-def atomic_write(path: str, data: str) -> None:
-    """Write ``data`` to ``path`` via same-directory tmp + ``os.replace``."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-@dataclass
-class CorruptRecord:
-    """One rejected ``results.jsonl`` line."""
-
-    line_no: int
-    reason: str
-    #: The cell the record claimed to belong to, when that much was legible.
-    cell_id: str = ""
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        where = f" (cell {self.cell_id})" if self.cell_id else ""
-        return f"line {self.line_no}: {self.reason}{where}"
+from repro.errors import CampaignError, ManifestMismatch
+from repro.store import (Reject, append_record, atomic_write, load_manifest,
+                         load_records)
 
 
 class ResultStore:
@@ -116,18 +61,8 @@ class ResultStore:
         atomic_write(self.manifest_path, json.dumps(manifest, indent=2))
 
     def load_manifest(self) -> dict:
-        if not os.path.exists(self.manifest_path):
-            raise CampaignError(
-                f"{self.run_dir}: no manifest.json — not a campaign run "
-                "directory (or its creation was interrupted before the "
-                "first atomic manifest write)")
-        with open(self.manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if manifest.get("schema") != SCHEMA_VERSION:
-            raise CampaignError(
-                f"{self.run_dir}: manifest schema "
-                f"{manifest.get('schema')!r} != supported {SCHEMA_VERSION}")
-        return manifest
+        return load_manifest(self.manifest_path, SCHEMA_VERSION,
+                             CampaignError)
 
     def resume_config(self,
                       expected: Optional[CampaignConfig] = None
@@ -154,74 +89,19 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def append(self, record: dict) -> None:
-        """Durably append one record (checksum added here).
+        """Durably append one record (schema and checksum added here).
 
-        The whole file is rewritten through ``atomic_write``: O(n) per
-        append, trivially atomic, and campaign stores are dozens-of-cells
-        small.  A crash mid-append leaves the previous intact store.
+        A crash mid-append leaves the previous intact store.
         """
-        record = dict(record)
-        record.setdefault("schema", SCHEMA_VERSION)
-        record[_CHECKSUM_FIELD] = checksum(record)
-        existing = ""
-        if os.path.exists(self.results_path):
-            with open(self.results_path, encoding="utf-8") as handle:
-                existing = handle.read()
-        if existing and not existing.endswith("\n"):
-            existing += "\n"   # heal a torn tail; load() reports the line
-        atomic_write(self.results_path,
-                     existing + _canonical(record) + "\n")
+        append_record(self.results_path,
+                      {"schema": SCHEMA_VERSION, **record})
 
-    def load(self, strict: bool = False
-             ) -> Tuple[List[dict], List[CorruptRecord]]:
-        """All intact records plus a report of every rejected line.
-
-        ``strict=True`` raises :class:`~repro.errors.ResultCorruption` on
-        the first bad line instead of collecting it.
-        """
-        records: List[dict] = []
-        corrupt: List[CorruptRecord] = []
-        if not os.path.exists(self.results_path):
-            return records, corrupt
-
-        def reject(line_no: int, reason: str, cell_id: str = "") -> None:
-            if strict:
-                raise ResultCorruption(line_no, reason)
-            corrupt.append(CorruptRecord(line_no, reason, cell_id))
-
-        with open(self.results_path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    reject(line_no, f"unparseable JSON ({exc.msg}) — "
-                                    "truncated mid-write?")
-                    continue
-                if not isinstance(record, dict):
-                    reject(line_no, "record is not an object")
-                    continue
-                cell_id = str(record.get("cell_id", ""))
-                stored = record.get(_CHECKSUM_FIELD)
-                if stored is None:
-                    reject(line_no, "missing checksum", cell_id)
-                    continue
-                if checksum(record) != stored:
-                    reject(line_no, "checksum mismatch — corrupted record",
-                           cell_id)
-                    continue
-                if record.get("schema") != SCHEMA_VERSION:
-                    reject(line_no,
-                           f"schema {record.get('schema')!r} != "
-                           f"{SCHEMA_VERSION} — stale record", cell_id)
-                    continue
-                records.append(record)
-        return records, corrupt
+    def load(self) -> Tuple[List[dict], List[Reject]]:
+        """All intact records plus a report of every rejected line."""
+        return load_records(self.results_path, SCHEMA_VERSION)
 
     def completed(self, expected_ids: Sequence[str]
-                  ) -> Tuple[Dict[str, dict], List[CorruptRecord]]:
+                  ) -> Tuple[Dict[str, dict], List[Reject]]:
         """Map of cell_id -> latest *ok* record, restricted to this
         campaign's cells; anything corrupt or unknown is left pending."""
         records, corrupt = self.load()

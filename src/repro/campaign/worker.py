@@ -29,7 +29,6 @@ from typing import List, Optional
 
 from repro.campaign.cells import CellSpec, system_config
 from repro.campaign.heartbeat import Heartbeat
-from repro.campaign.store import atomic_write
 from repro.checkpoint import (CheckpointHook, CheckpointManager,
                               CheckpointStats, config_fingerprint,
                               program_fingerprint, read_checkpoint,
@@ -37,6 +36,7 @@ from repro.checkpoint import (CheckpointHook, CheckpointManager,
 from repro.config import DefenseKind
 from repro.errors import CheckpointError, ReproError
 from repro.multicore import MulticoreSystem
+from repro.store import atomic_write
 from repro.system import build_system
 from repro.workloads import PARSEC_BY_NAME, SPEC_BY_NAME
 from repro.workloads.generator import HEAP_BASE, generate

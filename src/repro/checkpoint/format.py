@@ -13,14 +13,14 @@ SHA-256 of the compressed payload).  Each section is the zlib-compressed
 canonical JSON of one ``state_dict()`` subtree, hashed independently so a
 flipped bit is attributed to the section it hit.
 
-Durability follows the PR-2 store idiom: writes go through a same-directory
-temp file, ``fsync``, and ``os.replace``, so a crash mid-write leaves either
-the old generation or the new one, never a tear.  Reads fail *closed*: every
-malformed input maps to a :class:`~repro.errors.CheckpointError` whose
-``kind`` names the failure class ("missing", "bad-magic", "torn-header",
-"schema-skew", "config-skew", "truncated", "section-corrupt") — the
-degradation ladder upstream (generation walk-back, straight-through re-run)
-keys off those kinds and never sees a half-trusted snapshot.
+Writes go through :func:`repro.store.atomic_write` (DESIGN.md § "Durable
+state"), so a crash mid-write leaves either the old generation or the new
+one, never a tear.  Reads fail *closed*: every malformed input maps to a
+:class:`~repro.errors.CheckpointError` whose ``kind`` names the failure
+class ("missing", "bad-magic", "torn-header", "schema-skew", "config-skew",
+"truncated", "section-corrupt") — the degradation ladder upstream
+(generation walk-back, straight-through re-run) keys off those kinds and
+never sees a half-trusted snapshot.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import tempfile
 import zlib
 from typing import Dict, Iterable, Tuple
 
 from repro.errors import CheckpointError
+from repro.store import atomic_write
 
 MAGIC = b"repro-ckpt\n"
 #: Bump on any incompatible change to the header or section encoding.
@@ -91,26 +90,6 @@ def program_fingerprint(programs) -> str:
 # writing
 # ----------------------------------------------------------------------
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    """Same-directory tmp + fsync + ``os.replace`` (PR-2 durability idiom)."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_checkpoint(path: str, sections: Dict[str, object], *,
                      config_hash: str, program_hash: str,
                      cycle: int) -> int:
@@ -127,7 +106,7 @@ def write_checkpoint(path: str, sections: Dict[str, object], *,
               "program": program_hash, "cycle": cycle, "sections": table}
     blob = (MAGIC + json.dumps(header, sort_keys=True).encode("utf-8")
             + b"\n" + b"".join(payloads))
-    _atomic_write_bytes(path, blob)
+    atomic_write(path, blob)
     return len(blob)
 
 

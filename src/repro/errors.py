@@ -215,25 +215,6 @@ class ManifestMismatch(CampaignError):
             f"manifest hash {expected} != requested {actual}{suffix}")
 
 
-class ResultCorruption(CampaignError):
-    """A result-store record failed its integrity check.
-
-    Normally corruption is *handled*, not raised: ``ResultStore.load``
-    reports corrupt records and the scheduler re-queues their cells.  The
-    exception exists for callers that demand a fully-intact store
-    (``ResultStore.load(strict=True)``).
-
-    Attributes:
-        line_no: 1-based line in ``results.jsonl``.
-        reason: what failed (truncated JSON, checksum mismatch, ...).
-    """
-
-    def __init__(self, line_no: int, reason: str):
-        self.line_no = line_no
-        self.reason = reason
-        super().__init__(f"results.jsonl line {line_no}: {reason}")
-
-
 #: Machine-readable :class:`ServiceError` kinds, each mapped 1:1 to a
 #: protocol error response by :mod:`repro.service.protocol`.
 SERVICE_ERROR_KINDS = frozenset({

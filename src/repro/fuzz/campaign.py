@@ -30,11 +30,11 @@ from typing import Dict, List, Optional
 
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import AdaptiveWait, launch, WorkerProcess
-from repro.checkpoint.format import _atomic_write_bytes
 from repro.errors import FuzzError
 from repro.fuzz import corpus
 from repro.fuzz.executor import FuzzConfig, FuzzExecutor
 from repro.rng import derive_seed
+from repro.store import atomic_write
 from repro.telemetry.registry import StatsRegistry
 
 MERGED_DIR = "merged"
@@ -86,9 +86,7 @@ def run_worker(out_dir: str, config: FuzzConfig,
     except Exception as err:  # the outcome file is the error channel
         outcome = {"status": "crashed", "error": str(err),
                    "error_type": type(err).__name__}
-    _atomic_write_bytes(outcome_path,
-                        (json.dumps(outcome, sort_keys=True) + "\n")
-                        .encode("utf-8"))
+    atomic_write(outcome_path, json.dumps(outcome, sort_keys=True) + "\n")
     return 0 if outcome["status"] == "ok" else 1
 
 
@@ -101,9 +99,7 @@ def _launch_shard(root: str, config: FuzzConfig, shards: int,
     os.makedirs(directory, exist_ok=True)
     cfg = shard_config(config, shards, index)
     cfg_path = os.path.join(directory, "config.json")
-    _atomic_write_bytes(cfg_path,
-                        (json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
-                        .encode("utf-8"))
+    atomic_write(cfg_path, json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
     argv = [sys.executable, "-m", "repro.fuzz", "--worker", cfg_path,
             "--out", directory]
     return launch(argv,
@@ -134,11 +130,10 @@ def run_campaign(root: str, config: FuzzConfig, shards: int,
     if shards < 1:
         raise FuzzError(f"campaign needs at least one shard, got {shards}")
     os.makedirs(root, exist_ok=True)
-    _atomic_write_bytes(
-        os.path.join(root, CAMPAIGN_FILE),
-        (json.dumps({"schema": corpus.FUZZ_SCHEMA,
-                     "config": config.to_dict(), "shards": shards},
-                    sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write(os.path.join(root, CAMPAIGN_FILE),
+                 json.dumps({"schema": corpus.FUZZ_SCHEMA,
+                             "config": config.to_dict(), "shards": shards},
+                            sort_keys=True) + "\n")
 
     outcomes: Dict[int, ShardOutcome] = {}
     pending: List[int] = []

@@ -9,15 +9,13 @@ run::
     regressions.jsonl    triaged disagreements, checksummed
     regressions/reg-NNNN.s   one minimized reproducer per finding
 
-Durability follows the repo's store idioms: every file lands via the
-same-directory temp + fsync + ``os.replace`` writer
-(:func:`repro.checkpoint.format._atomic_write_bytes`), and every JSONL
-record wraps its payload with a SHA-256 so :func:`load_run` can attribute
-a flipped bit to the line it hit.  Loading is corruption-*tolerant*
-(corrupt lines are counted and skipped, mirroring the campaign result
-store) — except the manifest, which fails closed via
-:class:`~repro.errors.FuzzError`: a run directory whose config cannot be
-trusted must not be resumed or merged.
+Durability is :mod:`repro.store`'s protocol (DESIGN.md § "Durable
+state"): every file lands through :func:`~repro.store.atomic_write`, and
+every JSONL line is a checksummed record, so :func:`load_run` can
+attribute a flipped bit to the line it hit.  Loading is
+corruption-*tolerant* (corrupt lines are counted and skipped) — except the
+manifest, which fails closed via :class:`~repro.errors.FuzzError`: a run
+directory whose config cannot be trusted must not be resumed or merged.
 
 Because candidate generation is a pure function of ``(seed, draw
 index)``, the corpus stores *specs*, not programs: :func:`replay` and the
@@ -35,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis import hooks
 from repro.analysis.gadgets import find_gadgets
 from repro.attacks.common import AttackProgram, run_attack_program
-from repro.checkpoint.format import _atomic_write_bytes
 from repro.config import DefenseKind
 from repro.errors import FuzzError, ReproError
 from repro.fuzz.coverage import CoverageMap
@@ -47,56 +44,17 @@ from repro.fuzz.executor import (
 )
 from repro.fuzz.generator import CandidateSpec
 from repro.isa.assembler import assemble
+from repro.store import (atomic_write, canonical, load_manifest, load_records,
+                         write_records)
 
 #: Corpus schema tag; bump on any incompatible layout change.
-FUZZ_SCHEMA = "repro-fuzz/1"
+FUZZ_SCHEMA = "repro-fuzz/2"
 
 MANIFEST = "manifest.json"
 COVERAGE = "coverage.json"
 CORPUS = "corpus.jsonl"
 REGRESSIONS = "regressions.jsonl"
 REGRESSION_DIR = "regressions"
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _record_line(payload: dict) -> str:
-    blob = _canonical(payload)
-    sha = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    return json.dumps({"payload": payload, "sha": sha}, sort_keys=True,
-                      separators=(",", ":"))
-
-
-def _write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def _read_records(path: str) -> Tuple[List[dict], int]:
-    """Checksummed-JSONL reader: (intact payloads, corrupt line count)."""
-    records: List[dict] = []
-    corrupt = 0
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except FileNotFoundError:
-        return records, corrupt
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            wrapper = json.loads(line)
-            payload = wrapper["payload"]
-            blob = _canonical(payload)
-            expect = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-            if wrapper["sha"] != expect:
-                raise ValueError("checksum mismatch")
-        except (ValueError, KeyError, TypeError):
-            corrupt += 1
-            continue
-        records.append(payload)
-    return records, corrupt
 
 
 # -- saving -------------------------------------------------------------------
@@ -109,25 +67,24 @@ def regression_filename(index: int) -> str:
 def save_run(directory: str, result: FuzzResult) -> None:
     """Persist one executor run as a complete, replayable run directory."""
     os.makedirs(os.path.join(directory, REGRESSION_DIR), exist_ok=True)
-    _write_text(os.path.join(directory, MANIFEST), _canonical(
+    atomic_write(os.path.join(directory, MANIFEST), canonical(
         {"schema": FUZZ_SCHEMA, "config": result.config.to_dict(),
          "executed": result.executed, "simulated": result.simulated,
          "build_errors": result.build_errors,
          "sim_errors": result.sim_errors}) + "\n")
-    _write_text(os.path.join(directory, COVERAGE),
-                _canonical(result.coverage.to_dict()) + "\n")
-    _write_text(os.path.join(directory, CORPUS), "".join(
-        _record_line({"id": k, "spec": spec.to_dict()}) + "\n"
+    atomic_write(os.path.join(directory, COVERAGE),
+                 canonical(result.coverage.to_dict()) + "\n")
+    write_records(os.path.join(directory, CORPUS), (
+        {"schema": FUZZ_SCHEMA, "id": k, "spec": spec.to_dict()}
         for k, spec in enumerate(result.admitted)))
-    lines = []
+    records = []
     for index, finding in enumerate(result.disagreements):
         name = regression_filename(index)
-        _write_text(os.path.join(directory, REGRESSION_DIR, name),
-                    finding.source_text)
-        payload = finding.to_dict()
-        payload["file"] = f"{REGRESSION_DIR}/{name}"
-        lines.append(_record_line(payload) + "\n")
-    _write_text(os.path.join(directory, REGRESSIONS), "".join(lines))
+        atomic_write(os.path.join(directory, REGRESSION_DIR, name),
+                     finding.source_text)
+        records.append({**finding.to_dict(), "schema": FUZZ_SCHEMA,
+                        "file": f"{REGRESSION_DIR}/{name}"})
+    write_records(os.path.join(directory, REGRESSIONS), records)
 
 
 # -- loading ------------------------------------------------------------------
@@ -158,33 +115,27 @@ def load_run(directory: str) -> LoadedRun:
     or carries a different schema — a config that cannot be trusted
     poisons everything derived from it.
     """
-    path = os.path.join(directory, MANIFEST)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        raise FuzzError(f"unreadable fuzz manifest {path}: {err}")
-    if manifest.get("schema") != FUZZ_SCHEMA:
-        raise FuzzError(f"fuzz corpus schema {manifest.get('schema')!r} "
-                        f"!= supported {FUZZ_SCHEMA!r} [{path}]")
+    manifest = load_manifest(os.path.join(directory, MANIFEST), FUZZ_SCHEMA,
+                             FuzzError)
     try:
         with open(os.path.join(directory, COVERAGE),
                   encoding="utf-8") as handle:
             coverage = CoverageMap.from_dict(json.load(handle))
     except (OSError, json.JSONDecodeError, AttributeError):
         coverage = CoverageMap()
-    corpus_records, corrupt_a = _read_records(
-        os.path.join(directory, CORPUS))
+    corpus_records, rejects = load_records(os.path.join(directory, CORPUS),
+                                           FUZZ_SCHEMA)
+    corrupt = len(rejects)
     specs = []
     for record in corpus_records:
         try:
             specs.append(CandidateSpec.from_dict(record["spec"]))
         except (FuzzError, KeyError, TypeError, ValueError):
-            corrupt_a += 1
-    regressions, corrupt_b = _read_records(
-        os.path.join(directory, REGRESSIONS))
+            corrupt += 1
+    regressions, rejects = load_records(os.path.join(directory, REGRESSIONS),
+                                        FUZZ_SCHEMA)
     return LoadedRun(directory, manifest, coverage, specs, regressions,
-                     corrupt=corrupt_a + corrupt_b)
+                     corrupt=corrupt + len(rejects))
 
 
 # -- replay -------------------------------------------------------------------
@@ -260,7 +211,7 @@ def merge_runs(out_dir: str, shard_dirs: Iterable[str],
         merged.build_errors += int(run.manifest.get("build_errors", 0))
         merged.sim_errors += int(run.manifest.get("sim_errors", 0))
         for spec in run.specs:
-            key = _canonical(spec.to_dict())
+            key = canonical(spec.to_dict())
             if key not in seen:
                 seen.add(key)
                 merged.admitted.append(spec)
@@ -337,5 +288,5 @@ def export_requests(directory: str, out_path: str,
         if deadline_s is not None:
             request["deadline_s"] = deadline_s
         lines.append(json.dumps(request, sort_keys=True) + "\n")
-    _write_text(out_path, "".join(lines))
+    atomic_write(out_path, "".join(lines))
     return len(lines)

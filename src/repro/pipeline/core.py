@@ -787,9 +787,13 @@ class Core:
             if deliver_at > self.cycle:
                 remaining.append((deliver_at, unsafe))
                 continue
+            # An access whose own check already passed stays SAFE: a root
+            # marked unsafe by a blocked forward may still pass its own
+            # check at memory, and the dependent then commits normally.
             for dyn in self.rob:
                 if (dyn.seq > unsafe.seq and dyn.static.is_memory
-                        and unsafe.seq in dyn.taint_roots):
+                        and unsafe.seq in dyn.taint_roots
+                        and dyn.tcs is not TagCheckStatus.SAFE):
                     dyn.tcs = TagCheckStatus.UNSAFE
                     dyn.unsafe_dependent = True
                     dyn.ssa = False

@@ -2,13 +2,12 @@
 
 Two layers with one key (:func:`repro.service.protocol.content_key`):
 
-- :class:`VerdictCache` — completed verdicts, persisted through the same
-  atomic-write + per-record-SHA-256 JSONL discipline as the campaign
-  :class:`~repro.campaign.store.ResultStore`: a crash mid-append leaves
-  the previous intact file, and a corrupted or truncated record is
-  *skipped and counted* at warm-start, never trusted and never fatal.
-  Restarting the service over the same state directory therefore
-  warm-starts with every verdict that ever completed.
+- :class:`VerdictCache` — completed verdicts, persisted as checksummed
+  records through :mod:`repro.store` (DESIGN.md § "Durable state"): a
+  crash mid-append leaves the previous intact file, and a corrupted,
+  truncated or stale record is *skipped and counted* at warm-start, never
+  trusted and never fatal.  Restarting the service over the same state
+  directory therefore warm-starts with every verdict that ever completed.
 - :class:`SingleFlight` — the in-flight dedup: the first request for a
   key becomes the *leader* and computes; identical concurrent requests
   become followers awaiting the leader's future, so a thundering herd of
@@ -18,20 +17,13 @@ Two layers with one key (:func:`repro.service.protocol.content_key`):
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.campaign.store import atomic_write, checksum
+from repro.store import append_record, load_records
 
 #: Bump when the cached-record layout changes; stale records re-compute.
 CACHE_SCHEMA = 1
-
-_CHECKSUM_FIELD = "sha256"
-
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class VerdictCache:
@@ -49,27 +41,11 @@ class VerdictCache:
         self._load()
 
     def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self.rejected += 1
-                    continue
-                if not isinstance(record, dict) \
-                        or record.get(_CHECKSUM_FIELD) is None \
-                        or checksum(record) != record[_CHECKSUM_FIELD] \
-                        or record.get("schema") != CACHE_SCHEMA \
-                        or not isinstance(record.get("key"), str):
-                    self.rejected += 1
-                    continue
-                # Later records win: a re-computed verdict supersedes.
-                self._entries[record["key"]] = record["row"]
+        records, rejects = load_records(self.path, CACHE_SCHEMA)
+        self.rejected = len(rejects)
+        for record in records:
+            # Later records win: a re-computed verdict supersedes.
+            self._entries[record["key"]] = record["row"]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -81,21 +57,9 @@ class VerdictCache:
         return self._entries.get(key)
 
     def put(self, key: str, row: dict) -> None:
-        """Store and durably append one verdict payload.
-
-        Same discipline as the campaign store: the whole file is rewritten
-        through a same-directory tmp + ``os.replace`` with the new line
-        appended — O(n) per put, atomic under any crash.
-        """
-        record = {"schema": CACHE_SCHEMA, "key": key, "row": row}
-        record[_CHECKSUM_FIELD] = checksum(record)
-        existing = ""
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as handle:
-                existing = handle.read()
-        if existing and not existing.endswith("\n"):
-            existing += "\n"   # heal a torn tail; _load counted the line
-        atomic_write(self.path, existing + _canonical(record) + "\n")
+        """Store and durably append one verdict payload."""
+        append_record(self.path, {"schema": CACHE_SCHEMA, "key": key,
+                                  "row": row})
         self._entries[key] = row
 
 

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, List, Optional, Tuple
 
-from repro.campaign.store import atomic_write
 from repro.errors import ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker, Quarantine
@@ -50,6 +49,7 @@ from repro.service.protocol import (MAX_REQUEST_BYTES, Request, content_key,
                                     parse_request, pong_response,
                                     stats_response, timing_breakdown)
 from repro.service.supervisor import WorkerPool
+from repro.store import atomic_write
 from repro.telemetry.obs import (SPAN_CACHE_LOOKUP, SPAN_CONFIRM,
                                  SPAN_POOL_DISPATCH, SPAN_QUEUE_WAIT,
                                  SPAN_STATIC_LINT, FlightRecorder, Span,

@@ -38,9 +38,9 @@ from typing import Callable, List, Optional
 
 from repro.campaign import pool
 from repro.campaign.pool import AdaptiveWait, WorkerExit
-from repro.campaign.store import atomic_write
 from repro.errors import ServiceError
 from repro.service.breaker import CircuitBreaker, Quarantine
+from repro.store import atomic_write
 from repro.telemetry.obs import FlightRecorder
 from repro.telemetry.service import ServiceStats
 

@@ -33,10 +33,10 @@ from repro.analysis.cfg import build_cfg
 from repro.analysis.gadgets import find_gadgets, leaks_under
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import EXIT_TYPED_FAILURE
-from repro.campaign.store import atomic_write
 from repro.config import CORTEX_A76, DefenseKind
 from repro.errors import ReproError
 from repro.isa.assembler import assemble
+from repro.store import atomic_write
 
 
 def _chaos(mode: str) -> None:

@@ -50,12 +50,6 @@ class TestWriteRead:
         write_sample(path)
         assert open(path, "rb").read(len(MAGIC)) == MAGIC
 
-    def test_atomic_write_leaves_no_temp_droppings(self, tmp_path):
-        path = tmp_path / "a.ckpt"
-        write_sample(path)
-        write_sample(path)  # overwrite goes through os.replace too
-        assert sorted(os.listdir(tmp_path)) == ["a.ckpt"]
-
     def test_fingerprint_expectations_enforced(self, tmp_path):
         path = tmp_path / "a.ckpt"
         write_sample(path)

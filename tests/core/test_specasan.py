@@ -181,6 +181,42 @@ class TestForwardingRule:
         """)
         assert result.faulted
 
+    def test_blocked_forward_keeps_checked_dependent_safe(self):
+        """A load whose page-offset-aliased forward is blocked (keys
+        differ) is marked unsafe and broadcasts, then passes its own check
+        at memory.  The younger store it feeds already passed its own
+        check; the broadcast must not turn that into a commit-time fault
+        (found on 520.omnetpp_r seed 16 at 20k instructions)."""
+        system = build_system(SPECASAN)
+        core = system.prepare(assemble("""
+            .data slow 0x200000 words 7
+            .data other 0x5040 tag=3 words 0
+            .data slot 0x4040 tag=5 words 11
+            .data out 0x6000 words 0
+            MOV X15, #0x200000
+            MOV X1, #0x5040
+            ADDG X1, X1, #0, #3
+            MOV X2, #0x4040
+            ADDG X2, X2, #0, #5
+            MOV X5, #0x6000
+            MOV X6, #99
+            MOV X12, #1
+            LDR X0, [X15]        // commit blocker keeps the store in the SQ
+            STR X6, [X1]         // page offset aliases the load below
+            UDIV X3, X2, X12     // the load's address arrives late
+            UDIV X3, X3, X12
+            LDR X4, [X3]         // forward blocked, own check passes
+            STR X4, [X5]         // checked SAFE before the broadcast
+            HALT
+        """))
+        core.run()
+        events = [event for _, _, event in core.policy.tsh.trace]
+        assert "stl-forward blocked, tcs=unsafe" in events
+        result = system.result()
+        assert not result.faulted
+        assert result.register("X4") == 11
+        assert result.instructions == 15
+
 
 class TestSpectreSTLHold:
     def test_tagged_bypass_data_held_until_disambiguation(self):
