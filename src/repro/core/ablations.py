@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.config import SystemConfig
-from repro.core.policy import RequestFlags
 from repro.core.specasan import SpecASanPolicy
 from repro.mte.tags import key_of
 from repro.pipeline.dyninstr import DynInstr
@@ -44,15 +43,12 @@ class FullDelaySpecASanPolicy(SpecASanPolicy):
 class NoLFBTagSpecASanPolicy(SpecASanPolicy):
     """SpecASan with the LFB tag extension (§3.3.3) removed.
 
-    Pair with ``MemoryConfig(lfb_tagged=False)``; stale forwards are
+    Pair with ``MemoryConfig(lfb_tagged=False)``: the request flags are
+    SpecASan's, but with no LFB tags to gate them stale forwards are
     allowed on faith again, as on the unprotected baseline.
     """
 
     name = "specasan-no-lfb-tags"
-
-    def request_flags(self, dyn: DynInstr) -> RequestFlags:
-        return RequestFlags(check_tag=True, block_fill_on_mismatch=True,
-                            allow_stale_forward=True)
 
 
 def memory_controller_only_config(config: SystemConfig) -> SystemConfig:

@@ -54,6 +54,11 @@ class RequestFlags:
     allow_stale_forward: bool = True
 
 
+#: The unsafe baseline's request flags (no policy here varies them per
+#: instruction, so each returns one module constant).
+BASELINE_FLAGS = RequestFlags()
+
+
 class DefensePolicy:
     """Base policy: the unsafe baseline (no mitigation)."""
 
@@ -146,7 +151,7 @@ class DefensePolicy:
 
     def request_flags(self, dyn: "DynInstr") -> RequestFlags:
         """Flags attached to this instruction's memory request."""
-        return RequestFlags()
+        return BASELINE_FLAGS
 
     def on_load_data_ready(self, dyn: "DynInstr", response: "MemResponse") -> bool:
         """Data arrived for a load; return False to withhold delivery."""

@@ -37,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.request import MemResponse
     from repro.pipeline.core import Core
 
+#: Every access is checked and mismatches propagate nothing upward (G3).
+SPECASAN_FLAGS = RequestFlags(check_tag=True, block_fill_on_mismatch=True,
+                              allow_stale_forward=True)
+
 
 class TagCheckStatusHandler:
     """The TSH of §3.3.2: owns every ``tcs`` transition and the ROB signals."""
@@ -104,16 +108,14 @@ class SpecASanPolicy(DefensePolicy):
         self.tsh.attach(core)
 
     def request_flags(self, dyn: DynInstr) -> RequestFlags:
-        # Every access is checked and mismatches propagate nothing upward
-        # (G3).  Stale LFB forwards are *lock-gated*, not forbidden
-        # (§3.3.3): the hierarchy compares the requesting pointer's key
-        # against the stale occupant's stored allocation tags and, with
+        # Stale LFB forwards are *lock-gated*, not forbidden (§3.3.3): the
+        # hierarchy compares the requesting pointer's key against the stale
+        # occupant's stored allocation tags and, with
         # ``block_fill_on_mismatch`` set, withholds the stale bytes on a
         # mismatch.  A pointer carrying the victim line's own tag is the
         # TikTag-style same-key residual and is forwarded — exactly what
         # the static model's LFB verdict encodes.
-        return RequestFlags(check_tag=True, block_fill_on_mismatch=True,
-                            allow_stale_forward=True)
+        return SPECASAN_FLAGS
 
     def must_hold_bypass_data(self, load: DynInstr) -> bool:
         # Tagged loads that speculated past unresolved stores wait for the

@@ -18,13 +18,17 @@ from repro.core.policy import DefensePolicy, RequestFlags
 from repro.pipeline.dyninstr import DynInstr
 
 
+#: Speculative fills go to the MinionCache; stale LFB forwards still pass.
+GHOSTMINION_FLAGS = RequestFlags(fill_to_minion=True, allow_stale_forward=True)
+
+
 class GhostMinionPolicy(DefensePolicy):
     """Redirect speculative fills into the MinionCache; promote at commit."""
 
     name = "ghostminion"
 
     def request_flags(self, dyn: DynInstr) -> RequestFlags:
-        return RequestFlags(fill_to_minion=True, allow_stale_forward=True)
+        return GHOSTMINION_FLAGS
 
     def on_commit(self, dyn: DynInstr) -> None:
         if dyn.is_load and dyn.response is not None:

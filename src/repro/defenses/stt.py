@@ -45,7 +45,7 @@ class STTPolicy(DefensePolicy):
         # Transmitters: loads (tainted address would leak through the cache)
         # and stores (tainted address/data would leak through the store
         # buffer / RFO traffic).
-        if not dyn.static.is_memory:
+        if not dyn.is_memory:
             return True
         return not self._tainted(dyn)
 

@@ -136,6 +136,18 @@ _CLASS_BY_OP = {
 _CONDITIONAL = {Opcode.B_COND, Opcode.CBZ, Opcode.CBNZ}
 _INDIRECT = {Opcode.BR, Opcode.BLR, Opcode.RET}
 _CALLS = {Opcode.BL, Opcode.BLR}
+_LOADS = {Opcode.LDR, Opcode.LDRB, Opcode.LDG}
+_STORES = {Opcode.STR, Opcode.STRB, Opcode.STG}
+#: Opcodes that complete at dispatch without entering the issue queue.
+_NO_ISSUE = {Opcode.B, Opcode.NOP, Opcode.BTI, Opcode.SB, Opcode.HALT}
+
+#: Per-opcode classification, decoded once: (klass, is_load, is_store,
+#: is_memory, is_branch, needs_issue).
+_DECODE = {
+    op: (klass, op in _LOADS, op in _STORES, op in _LOADS or op in _STORES,
+         klass is InstrClass.BRANCH, op not in _NO_ISSUE)
+    for op, klass in _CLASS_BY_OP.items()
+}
 
 
 @dataclass
@@ -154,6 +166,11 @@ class Instruction:
     - ``cond``: condition for ``B.cond``.
     - ``target``: branch target label; resolved to ``target_addr`` when the
       program is linked.
+
+    The classification (``klass``, ``is_load``, ``is_store``, ``is_memory``,
+    ``is_branch``, ``needs_issue``) is decoded once from ``op`` into plain
+    attributes, not dataclass fields, so ``==``, ``repr`` and ``asdict``
+    see only the operands.
     """
 
     op: Opcode
@@ -175,26 +192,9 @@ class Instruction:
 
     # -- classification -----------------------------------------------------
 
-    @property
-    def klass(self) -> InstrClass:
-        """The scheduling class of this instruction."""
-        return _CLASS_BY_OP[self.op]
-
-    @property
-    def is_load(self) -> bool:
-        return self.op in (Opcode.LDR, Opcode.LDRB, Opcode.LDG)
-
-    @property
-    def is_store(self) -> bool:
-        return self.op in (Opcode.STR, Opcode.STRB, Opcode.STG)
-
-    @property
-    def is_memory(self) -> bool:
-        return self.is_load or self.is_store
-
-    @property
-    def is_branch(self) -> bool:
-        return self.klass is InstrClass.BRANCH
+    def __post_init__(self) -> None:
+        (self.klass, self.is_load, self.is_store, self.is_memory,
+         self.is_branch, self.needs_issue) = _DECODE[self.op]
 
     @property
     def is_conditional_branch(self) -> bool:

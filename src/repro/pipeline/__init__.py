@@ -1,6 +1,6 @@
 """The cycle-level out-of-order core (Table 2 configuration)."""
 
-from repro.pipeline.core import Core, MISPREDICT_REDIRECT_PENALTY
+from repro.pipeline.core import Core
 from repro.pipeline.dyninstr import DynInstr, InstrState, TagCheckStatus
 from repro.pipeline.exec_units import ExecPorts
 from repro.pipeline.lsq import LoadStoreQueues
@@ -23,7 +23,6 @@ __all__ = [
     "InstrState",
     "LoadStoreQueues",
     "MemoryDependencePredictor",
-    "MISPREDICT_REDIRECT_PENALTY",
     "PatternHistoryTable",
     "ReturnStackBuffer",
     "TagCheckStatus",

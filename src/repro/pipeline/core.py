@@ -28,7 +28,6 @@ from repro.core.policy import DefensePolicy, NoDefense
 from repro.isa.instructions import (
     Cond,
     FLAGS_REG,
-    Instruction,
     InstrClass,
     INSTR_BYTES,
     Opcode,
@@ -40,7 +39,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.mte.tags import key_of, strip_tag, with_key
 from repro.pipeline.dyninstr import DynInstr, InstrState, TagCheckStatus
 from repro.pipeline.exec_units import ExecPorts
-from repro.pipeline.lsq import LoadStoreQueues
+from repro.pipeline.lsq import LoadStoreQueues, NO_EVENT
 from repro.pipeline.predictors import (
     BranchHistoryBuffer,
     BranchTargetBuffer,
@@ -51,8 +50,7 @@ from repro.pipeline.predictors import (
 from repro.pipeline.stats import CoreStats
 
 _WORD_MASK = (1 << 64) - 1
-#: Fallback redirect penalty (configs override via ``mispredict_penalty``).
-MISPREDICT_REDIRECT_PENALTY = 6
+_DISPATCHED = InstrState.DISPATCHED
 
 
 def _to_signed(value: int) -> int:
@@ -87,7 +85,21 @@ class Core:
         self.rename: Dict[int, DynInstr] = {}
         self.lsq = LoadStoreQueues(self)
         self.ports = ExecPorts()
+        core = config.core
+        self._latencies: Dict[InstrClass, int] = {
+            InstrClass.ALU: core.alu_latency,
+            InstrClass.MUL: core.mul_latency,
+            InstrClass.DIV: core.div_latency,
+            InstrClass.BRANCH: core.branch_latency,
+            InstrClass.MTE: core.alu_latency,
+            InstrClass.LOAD: core.agu_latency,
+            InstrClass.STORE: core.agu_latency,
+        }
+        #: The ROB indexed by seq (:meth:`in_flight`).
+        self._rob_by_seq: Dict[int, DynInstr] = {}
         self._completions: Dict[int, List[DynInstr]] = {}
+        #: Fetched, unresolved branches in seq order (insertion order), so
+        #: the first key is the oldest (:meth:`is_speculative`).
         self._unresolved_branches: Dict[int, DynInstr] = {}
         self._pending_sb: List[DynInstr] = []
         self._unsafe_broadcasts: List[Tuple[int, DynInstr]] = []
@@ -180,6 +192,14 @@ class Core:
         When resilience hooks are attached, each cycle additionally drives
         the fault injector, and the invariant checker runs at its configured
         interval; the livelock watchdog is fed from the commit stage.
+
+        Cycles in which no stage can change any state are not ticked: after
+        a tick, :meth:`_next_event_cycle` finds the first cycle that may do
+        work and the loop jumps to the cycle before it.  The jump never
+        passes ``until_cycle``, ``max_cycles``, the deadlock check or an
+        interval observer's next firing, and is off while a fault injector
+        or an occupancy profiler is attached, so every observable result is
+        that of ticking each cycle.
         """
         if max_cycles is None:
             max_cycles = self.config.core.max_cycles
@@ -204,9 +224,93 @@ class Core:
                 snapshot = core_snapshot(self, restorable=True)
                 raise DeadlockError(self.cycle - self._last_commit_cycle,
                                     summarize(snapshot), snapshot=snapshot)
+            if (self.fault_injector is None and self.occupancy is None
+                    and not self.halted):
+                wake = self._next_event_cycle()
+                if wake > self.cycle + 1:
+                    self._skip_to(min(wake - 1, max_cycles,
+                                      self._last_commit_cycle + threshold,
+                                      NO_EVENT if until_cycle is None
+                                      else until_cycle))
         if not self.halted and self.cycle >= max_cycles:
             raise SimulationError(
                 f"program did not halt within {max_cycles} cycles")
+
+    def _skip_to(self, cycle: int) -> None:
+        """Stand at ``cycle`` as if every cycle up to it had been ticked
+        idle, stopping short of the next firing of each interval observer."""
+        for observer in (self.invariant_checker, self.heartbeat,
+                         self.checkpoint_hook):
+            if observer is not None:
+                interval = observer.interval
+                cycle = min(cycle, (self.cycle // interval + 1) * interval - 1)
+        if cycle > self.cycle:
+            self.cycle = cycle
+            self.stats.cycles = cycle
+            self.ports.new_cycle()
+
+    def _next_event_cycle(self) -> int:
+        """The first cycle after this one whose tick may change any state
+        (``cycle + 1`` when the next tick may do work; :data:`NO_EVENT`
+        when nothing is due at a known cycle).
+
+        Every stage is blocked until the returned cycle: commit waits on an
+        incomplete head (or on a faulting load's ready cycle), writeback on
+        the next scheduled completion, the unsafe broadcast on its delivery
+        cycle, the LSQ on its entries' cycles (:meth:`LoadStoreQueues.
+        next_event_cycle`), issue on unfinished producers or an older SB,
+        dispatch on a full structure, and fetch on a stop, a stall, its
+        resume cycle or a full queue.  A new cycle-dependent condition read
+        by :meth:`tick` must add its wake cycle here or return ``cycle + 1``.
+        """
+        busy = self.cycle + 1
+        wake = NO_EVENT
+        # commit
+        rob = self.rob
+        if rob:
+            head = rob[0]
+            if not head.is_load:
+                if head.completed:
+                    return busy
+            elif head.completed:
+                if not head.verify_pending:
+                    return busy
+            else:
+                response = head.response
+                if response is not None and (
+                        response.faulted
+                        or (self.policy.mte_enabled
+                            and head.tcs is TagCheckStatus.UNSAFE
+                            and response.data_withheld)):
+                    wake = response.ready_cycle
+        # fetch
+        fetch_queue = self.fetch_queue
+        if not self._fetch_stopped and self.fetch_blocked_on is None:
+            if busy < self.fetch_resume_cycle:
+                wake = min(wake, self.fetch_resume_cycle)
+            elif (len(fetch_queue) < 2 * self.config.core.fetch_width
+                  and self.program.fetch(self.fetch_pc) is not None):
+                return busy
+        # dispatch
+        config = self.config.core
+        if fetch_queue and len(rob) < config.rob_entries:
+            head = fetch_queue[0]
+            if ((not head.needs_issue or len(self.iq) < config.iq_entries)
+                    and self.lsq.can_dispatch(head)):
+                return busy
+        # issue
+        for dyn in self.iq:
+            if self._operands_ready(dyn) and not (
+                    self._pending_sb and self._blocked_by_sb(dyn)):
+                return busy
+        # writeback and the unsafe broadcast
+        if self._completions:
+            wake = min(wake, min(self._completions))
+        for deliver_at, _ in self._unsafe_broadcasts:
+            wake = min(wake, deliver_at)
+        if wake <= busy:
+            return busy
+        return min(wake, self.lsq.next_event_cycle(busy))
 
     # ==================================================================
     # values and speculation queries
@@ -236,17 +340,12 @@ class Core:
 
     def is_speculative(self, dyn: DynInstr) -> bool:
         """True while any older branch is unresolved (the speculation window)."""
-        for seq in self._unresolved_branches:
-            if seq < dyn.seq:
-                return True
-        return False
+        branches = self._unresolved_branches
+        return bool(branches) and next(iter(branches)) < dyn.seq
 
     def in_flight(self, seq: int) -> Optional[DynInstr]:
         """The ROB entry with ``seq``, if it is still in flight."""
-        for dyn in self.rob:
-            if dyn.seq == seq:
-                return dyn
-        return None
+        return self._rob_by_seq.get(seq)
 
     def taint_root_still_speculative(self, root_seq: int) -> bool:
         """STT untainting rule: a root load stops being tainted once it is
@@ -394,19 +493,13 @@ class Core:
     # dispatch (rename + allocate)
     # ==================================================================
 
-    def _needs_issue(self, static: Instruction) -> bool:
-        if static.op in (Opcode.B, Opcode.NOP, Opcode.BTI, Opcode.SB,
-                         Opcode.HALT):
-            return False
-        return True
-
     def _dispatch(self) -> None:
         budget = self.config.core.issue_width
         while budget > 0 and self.fetch_queue:
             dyn = self.fetch_queue[0]
             if len(self.rob) >= self.config.core.rob_entries:
                 return
-            needs_issue = self._needs_issue(dyn.static)
+            needs_issue = dyn.needs_issue
             if needs_issue and len(self.iq) >= self.config.core.iq_entries:
                 return
             if not self.lsq.can_dispatch(dyn):
@@ -415,6 +508,7 @@ class Core:
             dyn.dispatch_cycle = self.cycle
             self._rename(dyn)
             self.rob.append(dyn)
+            self._rob_by_seq[dyn.seq] = dyn
             self.lsq.dispatch(dyn)
             if dyn.static.op is Opcode.SB:
                 self._pending_sb.append(dyn)
@@ -442,47 +536,58 @@ class Core:
         dyn.taint_roots = frozenset(roots)
         for reg in dyn.static.dst_regs:
             self.rename[reg] = dyn
+        dyn.issue_waits = self._issue_waits(dyn)
+
+    @staticmethod
+    def _issue_waits(dyn: DynInstr) -> List[DynInstr]:
+        """The producers ``dyn``'s issue waits on that have not completed."""
+        static = dyn.static
+        if dyn.is_store:
+            # Stores issue their address once base/index are ready; the data
+            # operand may arrive later (checked at forward/commit time).
+            regs = [r for r in (static.rn, static.rm)
+                    if r is not None and r != XZR]
+        else:
+            regs = static.src_regs
+        waits = []
+        for reg in regs:
+            producer = dyn.producers.get(reg)
+            if producer is not None and not producer.completed:
+                waits.append(producer)
+        return waits
 
     # ==================================================================
     # issue + execute
     # ==================================================================
 
-    def _operands_ready(self, dyn: DynInstr) -> bool:
-        if dyn.is_store:
-            # Stores issue their address once base/index are ready; the data
-            # operand may arrive later (checked at forward/commit time).
-            needed = {r for r in (dyn.static.rn, dyn.static.rm)
-                      if r is not None and r != XZR}
-        else:
-            needed = set(dyn.static.src_regs)
-        for reg in needed:
-            producer = dyn.producers.get(reg)
-            if producer is not None and not producer.completed:
-                return False
-        return True
+    @staticmethod
+    def _operands_ready(dyn: DynInstr) -> bool:
+        """Prune ``dyn``'s completed producers; True once none is left
+        (completion is final, so a pruned producer never comes back)."""
+        waits = dyn.issue_waits
+        while waits and waits[-1].completed:
+            waits.pop()
+        return not waits
 
     def _blocked_by_sb(self, dyn: DynInstr) -> bool:
         return any(sb.seq < dyn.seq and sb.state is not InstrState.COMMITTED
                    for sb in self._pending_sb)
 
     def _issue(self) -> None:
+        # The IQ is in seq order (dispatch appends in order, squash filters),
+        # so walking it is oldest-first.
         budget = self.config.core.issue_width
-        for dyn in sorted(self.iq, key=lambda d: d.seq):
-            if budget <= 0:
-                break
-            if dyn.squashed:
-                self.iq.remove(dyn)
-                continue
+        issued = False
+        for dyn in self.iq:
             if not self._operands_ready(dyn):
                 continue
-            if self._blocked_by_sb(dyn):
+            if self._pending_sb and self._blocked_by_sb(dyn):
                 continue
             if not self.policy.may_issue(dyn):
                 self.mark_restricted(dyn)
                 continue
-            if not self.ports.try_claim(dyn.static.klass):
+            if not self.ports.try_claim(dyn.klass):
                 continue
-            self.iq.remove(dyn)
             dyn.state = InstrState.ISSUED
             dyn.issue_cycle = self.cycle
             if dyn.restricted_cycle >= 0 and not dyn.is_load:
@@ -491,19 +596,12 @@ class Core:
                 # the data is finally released in complete_load.
                 self._note_restriction_lift(dyn)
             self._execute(dyn)
+            issued = True
             budget -= 1
-
-    def _latency(self, klass: InstrClass) -> int:
-        core = self.config.core
-        return {
-            InstrClass.ALU: core.alu_latency,
-            InstrClass.MUL: core.mul_latency,
-            InstrClass.DIV: core.div_latency,
-            InstrClass.BRANCH: core.branch_latency,
-            InstrClass.MTE: core.alu_latency,
-            InstrClass.LOAD: core.agu_latency,
-            InstrClass.STORE: core.agu_latency,
-        }.get(klass, 1)
+            if budget <= 0:
+                break
+        if issued:
+            self.iq = [d for d in self.iq if d.state is _DISPATCHED]
 
     def _execute(self, dyn: DynInstr) -> None:
         """Compute ``dyn``'s result (or address) and schedule completion."""
@@ -517,7 +615,7 @@ class Core:
                 "kind": "contention", "seq": dyn.seq, "pc": dyn.pc,
                 "klass": static.klass.value, "cycle": self.cycle})
 
-        if static.is_memory:
+        if dyn.is_memory:
             base = self.value_of(dyn, static.rn) if static.rn is not None else 0
             offset = (self.value_of(dyn, static.rm)
                       if static.rm is not None else (static.imm or 0))
@@ -528,8 +626,8 @@ class Core:
             # Loads complete later, via the LSQ.
             return
 
-        latency = self._latency(static.klass)
-        if static.is_branch:
+        latency = self._latencies.get(dyn.klass, 1)
+        if dyn.is_branch:
             if dyn.resolved:  # B/BL resolved at fetch; BL just writes LR
                 if op in (Opcode.BL,):
                     dyn.result = dyn.pc + INSTR_BYTES
@@ -700,6 +798,7 @@ class Core:
                 dyn.squashed = True
                 dyn.squash_cycle = self.cycle
                 self.stats.squashed += 1
+                del self._rob_by_seq[dyn.seq]
                 if trace is not None:
                     trace.on_squash(dyn, self.cycle, reason)
         for dyn in self.fetch_queue:
@@ -719,8 +818,7 @@ class Core:
             (c, d) for c, d in self._unsafe_broadcasts if d.seq < seq]
         self._rebuild_rename()
         self.fetch_pc = redirect_pc
-        self.fetch_resume_cycle = self.cycle + getattr(
-            self.config.core, "mispredict_penalty", MISPREDICT_REDIRECT_PENALTY)
+        self.fetch_resume_cycle = self.cycle + self.config.core.mispredict_penalty
         self.fetch_blocked_on = None
         self._fetch_stopped = False
         self.policy.on_squash(seq)
@@ -791,7 +889,7 @@ class Core:
             # marked unsafe by a blocked forward may still pass its own
             # check at memory, and the dependent then commits normally.
             for dyn in self.rob:
-                if (dyn.seq > unsafe.seq and dyn.static.is_memory
+                if (dyn.seq > unsafe.seq and dyn.is_memory
                         and unsafe.seq in dyn.taint_roots
                         and dyn.tcs is not TagCheckStatus.SAFE):
                     dyn.tcs = TagCheckStatus.UNSAFE
@@ -866,6 +964,7 @@ class Core:
 
     def _retire(self, head: DynInstr) -> None:
         self.rob.pop(0)
+        del self._rob_by_seq[head.seq]
         head.state = InstrState.COMMITTED
         head.commit_cycle = self.cycle
         if self.trace is not None:
@@ -1036,7 +1135,10 @@ class Core:
         self._fetch_stopped = state["fetch_stopped"]
 
         self.rob = [instrs[seq] for seq in state["rob"]]
+        self._rob_by_seq = {dyn.seq: dyn for dyn in self.rob}
         self.iq = [instrs[seq] for seq in state["iq"]]
+        for dyn in self.iq:
+            dyn.issue_waits = self._issue_waits(dyn)
         self.fetch_queue = [instrs[seq] for seq in state["fetch_queue"]]
         self.rename = {reg: instrs[seq] for reg, seq in state["rename"]}
         self._completions = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.isa.instructions import Instruction
 from repro.memory.request import MemResponse
@@ -41,9 +41,16 @@ class InstrState(enum.Enum):
     COMMITTED = "committed"
 
 
-@dataclass
+_DONE = (InstrState.COMPLETED, InstrState.COMMITTED)
+
+
+@dataclass(eq=False)
 class DynInstr:
-    """One in-flight instruction."""
+    """One in-flight instruction.
+
+    Equality is identity: ``seq`` is unique, and queue membership tests
+    (``in``, ``list.remove``) must not compare every field.
+    """
 
     seq: int
     static: Instruction
@@ -111,23 +118,24 @@ class DynInstr:
     # Stats plumbing.
     was_restricted: bool = False
 
+    def __post_init__(self) -> None:
+        # The static classification, copied for the hot paths.
+        static = self.static
+        self.klass = static.klass
+        self.is_load = static.is_load
+        self.is_store = static.is_store
+        self.is_memory = static.is_memory
+        self.is_branch = static.is_branch
+        self.needs_issue = static.needs_issue
+        #: Producers this instruction's issue may still wait on: set at
+        #: rename, pruned as they complete (empty = operands ready).
+        self.issue_waits: List["DynInstr"] = []
+
     # -- convenience -----------------------------------------------------------
 
     @property
     def completed(self) -> bool:
-        return self.state in (InstrState.COMPLETED, InstrState.COMMITTED)
-
-    @property
-    def is_branch(self) -> bool:
-        return self.static.is_branch
-
-    @property
-    def is_load(self) -> bool:
-        return self.static.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.static.is_store
+        return self.state in _DONE
 
     def producer_values_ready(self) -> bool:
         """All renamed sources have produced their values."""

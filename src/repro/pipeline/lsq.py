@@ -30,6 +30,9 @@ from repro.pipeline.dyninstr import DynInstr, TagCheckStatus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import Core
 
+#: "No wake cycle is known": later than any cycle a run reaches.
+NO_EVENT = 1 << 62
+
 
 class LoadStoreQueues:
     """Split load queue / store queue with forwarding and disambiguation."""
@@ -113,6 +116,70 @@ class LoadStoreQueues:
         self._verify_partial_forwards(cycle)
         self._process_store_addresses(cycle)
         self._process_loads(cycle)
+
+    def next_event_cycle(self, cycle: int) -> int:
+        """The first cycle from ``cycle`` on at which :meth:`tick` may
+        change any state, given that nothing else changes first;
+        :data:`NO_EVENT` when no entry waits on a known cycle.
+
+        The wake cycles: a stale forward's and a pending load's data ready
+        cycle, a partial forward's verify cycle, a store's or load's
+        address ready cycle, a pending load's tag-outcome cycle and the
+        start of its stale-LFB window.  A load that would try to start
+        (forward, speculate past stores or access memory) is due now.
+        """
+        wake = NO_EVENT
+        for dyn in self._stale_pending:
+            response = dyn.response
+            if dyn.squashed or (response is not None
+                                and response.ready_cycle <= cycle):
+                return cycle
+            if response is not None:
+                wake = min(wake, response.ready_cycle)
+        for load, _store, verify_cycle in self._partial_pending:
+            if load.squashed or verify_cycle <= cycle:
+                return cycle
+            wake = min(wake, verify_cycle)
+        for store in self.sq:
+            if store.squashed or store.addr is None or store.mem_issued:
+                continue
+            if store.addr_ready_cycle <= cycle:
+                return cycle
+            wake = min(wake, store.addr_ready_cycle)
+        restricted = self.core.policy.restricted_seqs
+        for load in self.lq:
+            if load.squashed or load.completed or load.addr is None:
+                continue
+            if load.addr_ready_cycle > cycle:
+                wake = min(wake, load.addr_ready_cycle)
+                continue
+            response = load.response
+            if response is None:
+                if load.forwarded_from is None:
+                    return cycle
+                continue
+            if (load.tcs is TagCheckStatus.WAIT
+                    and response.tag_ok is not None):
+                if response.tag_known_cycle <= cycle:
+                    return cycle
+                wake = min(wake, response.tag_known_cycle)
+            ready = response.ready_cycle
+            if cycle < ready:
+                if (response.stale_data is not None
+                        and not load.used_stale_data
+                        and response.stale_ready_cycle < ready):
+                    if response.stale_ready_cycle <= cycle:
+                        return cycle
+                    wake = min(wake, response.stale_ready_cycle)
+                wake = min(wake, ready)
+            elif response.data_withheld:
+                # Withheld and already restricted: each tick repeats a
+                # restriction that is already recorded.
+                if not (load.was_restricted and load.seq in restricted):
+                    return cycle
+            elif not load.used_stale_data:
+                return cycle
+        return wake
 
     # .. partial-forward (loosenet) verification — the Fallout window ..........
 
@@ -238,12 +305,12 @@ class LoadStoreQueues:
         # any load that hits it before the fill arrives; the value is
         # verified at fill time and machine-cleared on mismatch.  Crucially
         # the load need not be branch-speculative — which is exactly why
-        # RIDL/ZombieLoad evade STT and GhostMinion (§4.1).
-        flags = self.core.policy.request_flags(load)
+        # RIDL/ZombieLoad evade STT and GhostMinion (§4.1).  The policy is
+        # asked last, so only a load inside the window pays for the call.
         if (response.stale_data is not None and not load.used_stale_data
-                and flags.allow_stale_forward
                 and cycle >= response.stale_ready_cycle
-                and cycle < response.ready_cycle):
+                and cycle < response.ready_cycle
+                and self.core.policy.request_flags(load).allow_stale_forward):
             value = int.from_bytes(response.stale_data, "little")
             load.used_stale_data = True
             load.verify_pending = True

@@ -10,6 +10,12 @@ validates that the machine's bookkeeping is internally consistent:
   capacity, and every entry is still in the ROB (a squashed load/store left
   behind in an LSQ is exactly the kind of leak that turns into a wrong
   forward later);
+- **iq-age-order** — IQ entries strictly increase in seq and none is
+  squashed (issue walks the IQ as oldest-first without sorting it);
+- **unresolved-branch-order** — the unresolved-branch table strictly
+  increases in seq (``is_speculative`` reads only its first key), every
+  entry is in the ROB or the fetch queue, and the seq index ``in_flight``
+  reads holds exactly the ROB;
 - **mshr-leak-freedom / lfb-leak-freedom** — miss-tracking structures stay
   within capacity and no entry's completion stamp sits impossibly far in
   the future (a corrupted stamp is a permanently leaked slot);
@@ -39,6 +45,8 @@ INVARIANTS = (
     ("rob-commit-order", "rob"),
     ("lq-age-order", "lq"),
     ("sq-age-order", "sq"),
+    ("iq-age-order", "iq"),
+    ("unresolved-branch-order", "branches"),
     ("mshr-leak-freedom", "mshr"),
     ("lfb-leak-freedom", "lfb"),
     ("tag-storage-integrity", "tag-storage"),
@@ -78,6 +86,8 @@ class InvariantChecker:
         self.checks_run += 1
         problem = (self._check_rob(core)
                    or self._check_lsq(core)
+                   or self._check_iq(core)
+                   or self._check_branches(core)
                    or self._check_mshrs(core)
                    or self._check_lfb(core))
         if problem is None and self._tag_checks_enabled:
@@ -141,6 +151,40 @@ class InvariantChecker:
                     return (name, structure,
                             f"#{dyn.seq} sits in the {structure.upper()} "
                             f"but not in the ROB (leaked entry)")
+        return None
+
+    def _check_iq(self, core):
+        last_seq = -1
+        for dyn in core.iq:
+            if dyn.seq <= last_seq:
+                return ("iq-age-order", "iq",
+                        f"IQ out of age order: #{dyn.seq} after #{last_seq}")
+            last_seq = dyn.seq
+            if dyn.squashed:
+                return ("iq-age-order", "iq",
+                        f"squashed #{dyn.seq} still occupies the IQ")
+        return None
+
+    def _check_branches(self, core):
+        window = {id(d) for d in core.rob}
+        window.update(id(d) for d in core.fetch_queue)
+        last_seq = -1
+        for seq, dyn in core._unresolved_branches.items():
+            if seq <= last_seq:
+                return ("unresolved-branch-order", "branches",
+                        f"unresolved branches out of age order: #{seq} "
+                        f"after #{last_seq}")
+            last_seq = seq
+            if id(dyn) not in window:
+                return ("unresolved-branch-order", "branches",
+                        f"unresolved branch #{seq} is in neither the ROB "
+                        f"nor the fetch queue")
+        index = core._rob_by_seq
+        if (len(index) != len(core.rob)
+                or any(index.get(d.seq) is not d for d in core.rob)):
+            return ("unresolved-branch-order", "branches",
+                    f"seq index ({len(index)} entries) does not hold "
+                    f"exactly the ROB ({len(core.rob)} entries)")
         return None
 
     # -- memory machinery ----------------------------------------------

@@ -30,6 +30,15 @@ def _prepared_core(defense=DefenseKind.SPECASAN, source=PROGRAM):
     return system, system.prepare(assemble(source))
 
 
+def _busy_core():
+    """A core paused mid-loop with two or more entries in the IQ and in
+    the unresolved-branch table."""
+    _, core = _prepared_core()
+    core.run(until_cycle=120)
+    assert len(core.iq) >= 2 and len(core._unresolved_branches) >= 2
+    return core
+
+
 class TestCleanRuns:
     @pytest.mark.parametrize("defense", [
         DefenseKind.NONE, DefenseKind.FENCE, DefenseKind.SPECASAN])
@@ -39,6 +48,23 @@ class TestCleanRuns:
         core.run()
         assert core.halted
         assert checker.checks_run > 0
+        assert checker.log == []
+
+    @pytest.mark.parametrize("defense", [
+        DefenseKind.NONE, DefenseKind.FENCE, DefenseKind.STT,
+        DefenseKind.SPECASAN_CFI])
+    def test_workload_keeps_queue_orders(self, defense):
+        # A branchy, pointer-chasing workload (mispredicts, squashes,
+        # replays) checked every 8 cycles.
+        from repro.workloads import build_spec
+        program = build_spec("505.mcf_r", seed=3,
+                             target_instructions=600).program
+        system = build_system(CORTEX_A76.with_defense(defense))
+        core = system.prepare(program)
+        checker = InvariantChecker(interval=8).attach(core)
+        core.run()
+        assert core.halted and core.stats.squashed > 0
+        assert checker.checks_run >= core.cycle // 8
         assert checker.log == []
 
     def test_attach_returns_self_and_wires_core(self):
@@ -70,6 +96,65 @@ class TestViolationDetection:
             checker.check(core)
         assert excinfo.value.invariant == "rob-commit-order"
         assert excinfo.value.structure == "rob"
+
+    def test_iq_disorder_detected(self):
+        core = _busy_core()
+        checker = InvariantChecker().attach(core)
+        checker.check(core)  # the real IQ is in order
+        core.iq[0], core.iq[1] = core.iq[1], core.iq[0]
+        with pytest.raises(InvariantViolation, match="IQ out of age order") \
+                as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "iq-age-order"
+        assert excinfo.value.structure == "iq"
+
+    def test_squashed_entry_in_iq_detected(self):
+        core = _busy_core()
+        checker = InvariantChecker().attach(core)
+        youngest = core.iq[-1]
+        core.squash_from(youngest.seq, youngest.pc)
+        core.iq.append(youngest)  # a squash that missed the IQ
+        with pytest.raises(InvariantViolation, match="squashed") as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "iq-age-order"
+
+    def test_unresolved_branch_disorder_detected(self):
+        core = _busy_core()
+        checker = InvariantChecker().attach(core)
+        branches = core._unresolved_branches
+        core._unresolved_branches = dict(reversed(list(branches.items())))
+        with pytest.raises(InvariantViolation,
+                           match="unresolved branches out of age order") \
+                as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "unresolved-branch-order"
+        assert excinfo.value.structure == "branches"
+
+    def test_unresolved_branch_outside_the_window_detected(self):
+        core = _busy_core()
+        checker = InvariantChecker().attach(core)
+        seq = next(reversed(core._unresolved_branches))
+        branch = core._unresolved_branches[seq]
+        core.rob = [d for d in core.rob if d is not branch]
+        core.fetch_queue = [d for d in core.fetch_queue if d is not branch]
+        core._rob_by_seq.pop(seq, None)
+        with pytest.raises(InvariantViolation,
+                           match="neither the ROB nor the fetch queue") \
+                as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "unresolved-branch-order"
+
+    def test_seq_index_disagreeing_with_the_rob_detected(self):
+        core = _busy_core()
+        checker = InvariantChecker().attach(core)
+        head = core.rob[0]
+        del core._rob_by_seq[head.seq]
+        with pytest.raises(InvariantViolation, match="seq index") as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "unresolved-branch-order"
+        core._rob_by_seq[head.seq] = core.rob[1]
+        with pytest.raises(InvariantViolation, match="seq index"):
+            checker.check(core)
 
     def test_squashed_entry_in_rob_detected(self):
         _, core = _prepared_core()
@@ -172,5 +257,6 @@ class TestSnapshot:
         names = {name for name, _ in INVARIANTS}
         assert names == {
             "rob-commit-order", "lq-age-order", "sq-age-order",
+            "iq-age-order", "unresolved-branch-order",
             "mshr-leak-freedom", "lfb-leak-freedom",
             "tag-storage-integrity", "tag-coherence"}
