@@ -2,34 +2,41 @@
 
 The campaign scheduler (batch sweeps) and :mod:`repro.service` (the
 always-on spec-lint front end) supervise the same kind of unit: a worker
-subprocess that writes a heartbeat file from inside its work loop and an
+process that writes a heartbeat file from inside its work loop and an
 outcome JSON on exit.  This module is the machinery both share:
 
 - :func:`worker_env` / :func:`launch` — spawn a worker with the repro
   source tree importable and its output captured to a log file;
-- :class:`WorkerProcess` — one supervised subprocess: non-blocking exit
+- :func:`start_template` / :func:`fork` — :func:`launch`'s twin for a
+  long-lived supervisor: each worker is a fresh ``fork()`` of one template
+  process that imported the worker's modules once, running the same argv;
+- :class:`WorkerProcess` — one supervised worker: non-blocking exit
   polling, heartbeat-staleness and wall-budget liveness checks, and
   terminate-then-kill reaping;
 - :func:`read_outcome` / :func:`classify_exit` — the outcome-file contract
   (``status: ok | failed | crashed``) folded with the exit code into one
   :class:`WorkerExit` classification;
-- :class:`AdaptiveWait` — the poll pacing used by both supervision loops:
-  tight while workers are active, exponential backoff capped while idle,
-  so an always-on service does not burn CPU between requests.
+- :class:`AdaptiveWait` — the campaign and fuzz poll pacing: tight while
+  workers are active, exponential backoff capped while idle.
 
-The scheduler drives these primitives from its synchronous poll loop; the
-service supervisor drives the same primitives from asyncio (``Popen.poll``
-and the liveness checks are non-blocking, so they compose with either).
+The scheduler and the fuzz campaign drive spawned workers from their
+synchronous poll loops.  The service supervisor forks its workers and
+sleeps on each one's exit sentinel (an fd that turns readable when the
+worker exits) until the worker exits or
+:meth:`WorkerProcess.next_check_s` says a liveness check is due.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
 import repro
 from repro.campaign.heartbeat import age_s
@@ -40,6 +47,10 @@ EXIT_TYPED_FAILURE = 3
 #: Liveness-failure kinds reported by :meth:`WorkerProcess.liveness_failure`.
 WALL_TIMEOUT = "wall-timeout"
 STALLED = "stalled"
+
+#: A forked worker's exit status once its template died (multiprocessing
+#: reports the lost status pipe as 255).
+TEMPLATE_LOST = 255
 
 
 def worker_env() -> dict:
@@ -107,17 +118,19 @@ def classify_exit(returncode: int, outcome: Optional[dict],
 
 
 class WorkerProcess:
-    """One supervised worker subprocess and its liveness contract.
+    """One supervised worker process and its liveness contract.
 
     The worker promises to pulse ``heartbeat_path`` from inside its work
     loop and to write ``out_path`` atomically before exiting.  The
     supervisor polls :meth:`exit` (non-blocking) and
     :meth:`liveness_failure`; a worker that exceeds its wall budget or
-    goes heartbeat-silent is :meth:`reaped <reap>`.
+    goes heartbeat-silent is :meth:`reaped <reap>`.  ``proc`` is the
+    :class:`subprocess.Popen` of :func:`launch` or the Popen-shaped handle
+    of :func:`fork`.
     """
 
-    def __init__(self, proc: subprocess.Popen, *, out_path: str,
-                 heartbeat_path: str, log_path: str = "",
+    def __init__(self, proc: Union[subprocess.Popen, "_Forked"], *,
+                 out_path: str, heartbeat_path: str, log_path: str = "",
                  timeout_s: float = float("inf"),
                  stall_timeout_s: float = float("inf")):
         self.proc = proc
@@ -162,6 +175,19 @@ class WorkerProcess:
                                        "(straggler reaped)")
         return None
 
+    def next_check_s(self, now: Optional[float] = None) -> float:
+        """Seconds before :meth:`liveness_failure` can first report.
+
+        The wall deadline is fixed and each beat only pushes the heartbeat
+        deadline later, so a supervisor that sleeps this long between
+        checks reaps exactly as early as one that polls.
+        """
+        elapsed = self.elapsed(now)
+        heartbeat_age = age_s(self.heartbeat_path, now=time.time())
+        stale = heartbeat_age if heartbeat_age is not None else elapsed
+        return max(0.0, min(self.timeout_s - elapsed,
+                            self.stall_timeout_s - stale))
+
     def reap(self) -> None:
         """Terminate, escalating to SIGKILL if the worker ignores it."""
         self.proc.terminate()
@@ -184,6 +210,140 @@ def launch(argv: List[str], *, out_path: str, heartbeat_path: str,
     finally:
         log.close()
     return WorkerProcess(proc, out_path=out_path,
+                         heartbeat_path=heartbeat_path, log_path=log_path,
+                         timeout_s=timeout_s,
+                         stall_timeout_s=stall_timeout_s)
+
+
+# ----------------------------------------------------------------------
+# forked launch: one pre-imported template, a fresh fork() per worker
+# ----------------------------------------------------------------------
+
+def _template_context():
+    # Imported on first use, so the campaign's spawn path never pays it.
+    import multiprocessing
+    return multiprocessing.get_context("forkserver")
+
+
+def _ensure_template() -> None:
+    """Start the template unless it is running, with :func:`worker_env`'s
+    path: it inherits this process's environment, and multiprocessing
+    skips a preload that fails to import, so without the path it would
+    silently preload nothing."""
+    from multiprocessing import forkserver
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = worker_env()["PYTHONPATH"]
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+
+
+def template_pid() -> Optional[int]:
+    """Pid of the running template, if one was started (fault drills)."""
+    from multiprocessing import forkserver
+    return forkserver._forkserver._forkserver_pid
+
+
+def _noop() -> None:
+    """The template's warm-up job."""
+
+
+def start_template(preload: Sequence[str]) -> None:
+    """Start the template that imports ``preload`` once, and wait until
+    it forks: it answers only after the preload, so this blocks through
+    the imports (an event loop runs it in an executor).  With a template
+    already running this costs one trivial fork."""
+    context = _template_context()
+    context.set_forkserver_preload(list(preload))
+    _ensure_template()
+    warm = context.Process(target=_noop, daemon=True)
+    warm.start()
+    warm.join()
+    warm.close()
+
+
+def _run_argv(argv: List[str], log_path: str) -> None:
+    """A forked worker's body: ``argv`` with ``python -m`` / ``-c``
+    semantics.  fds 1 and 2 move to the attempt log before anything runs:
+    the template inherited the supervisor's stdout, which in ``--stdio``
+    mode is the protocol stream."""
+    fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    os.dup2(fd, 1)
+    os.dup2(fd, 2)
+    os.close(fd)
+    _, flag, target, *args = argv
+    if flag == "-m":
+        import runpy
+        sys.argv = [target, *args]   # run_module puts the file in argv[0]
+        runpy.run_module(target, run_name="__main__", alter_sys=True)
+    else:
+        import types
+        sys.argv = ["-c", *args]
+        main = types.ModuleType("__main__")
+        sys.modules["__main__"] = main
+        exec(compile(target, "<string>", "exec"), main.__dict__)
+
+
+class _Forked:
+    """The :class:`subprocess.Popen` calls :class:`WorkerProcess` makes,
+    over a worker forked from the template, plus its exit ``sentinel``."""
+
+    def __init__(self, process):
+        self.process = process
+        self.pid: int = process.pid
+        self.sentinel: int = process.sentinel
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None and self.process.exitcode is not None:
+            self.returncode = self.process.exitcode
+            self.process.close()
+            if self.returncode == TEMPLATE_LOST:
+                # The template died with the exit status, and the orphan
+                # may still run.  Pids are handed out in sequence, so this
+                # one cannot belong to anyone else yet.
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signal.SIGKILL)
+        return self.returncode
+
+    def terminate(self) -> None:
+        if self.poll() is None:
+            self.process.terminate()
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            self.process.kill()
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if self.poll() is None:
+            self.process.join(timeout)
+            if self.poll() is None:
+                raise subprocess.TimeoutExpired(f"forked pid {self.pid}",
+                                                timeout or 0.0)
+        assert self.returncode is not None
+        return self.returncode
+
+
+def fork(argv: List[str], *, out_path: str, heartbeat_path: str,
+         log_path: str, timeout_s: float = float("inf"),
+         stall_timeout_s: float = float("inf")) -> WorkerProcess:
+    """:func:`launch` by forking the template (restarted if it died).
+
+    ``argv`` is what :func:`launch` would exec, ``[python, "-m", module,
+    *args]`` or ``[python, "-c", code, *args]``; it runs unchanged in a
+    fresh child of the template, whose imports are already done.
+    """
+    if len(argv) < 3 or argv[1] not in ("-m", "-c"):
+        raise ValueError(f"a forked worker runs -m or -c, not {argv!r}")
+    _ensure_template()
+    process = _template_context().Process(
+        target=_run_argv, args=(list(argv), log_path), daemon=True)
+    process.start()
+    return WorkerProcess(_Forked(process), out_path=out_path,
                          heartbeat_path=heartbeat_path, log_path=log_path,
                          timeout_s=timeout_s,
                          stall_timeout_s=stall_timeout_s)

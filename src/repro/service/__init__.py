@@ -11,7 +11,7 @@ DESIGN.md §Service; the layering here is:
 - :mod:`repro.service.admission` — bounded fair queueing, load shedding;
 - :mod:`repro.service.breaker` — circuit breaker + poison quarantine;
 - :mod:`repro.service.cache` — durable verdict cache + single-flight;
-- :mod:`repro.service.worker` — the per-job subprocess;
+- :mod:`repro.service.worker` — the per-job worker process;
 - :mod:`repro.service.supervisor` — the supervised async worker pool;
 - :mod:`repro.service.server` — admission → ladder → response wiring.
 """

@@ -179,8 +179,8 @@ def timing_breakdown(*, queue_wait_ms: float, analysis_ms: float,
                      confirm_ms: float, total_ms: float) -> dict:
     """The served-tier timing breakdown carried in every response.
 
-    The named parts never overlap; ``other_ms`` is the remainder (process
-    spawn, cache I/O, scheduling) so the parts always sum to the observed
+    The named parts never overlap; ``other_ms`` is the remainder (worker
+    fork, cache I/O, scheduling) so the parts always sum to the observed
     ``total_ms`` exactly — the envelope invariant the tests assert.
     """
     queue_wait_ms = max(0.0, queue_wait_ms)

@@ -24,8 +24,9 @@ handler):
    cache without touching a worker.
 5. **Drain** — SIGTERM/SIGINT stops admission, lets in-flight work
    finish inside ``drain_timeout_s``, then cuts stragglers with typed
-   ``cancelled`` responses, reaps every worker, and writes
-   ``shutdown-report.json``.
+   ``cancelled`` responses, reaps every worker, writes
+   ``shutdown-report.json``, and hangs up the connections still open once
+   every accepted request has its answer.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.service.protocol import (MAX_REQUEST_BYTES, Request, content_key,
                                     encode, error_response, ok_response,
                                     parse_request, pong_response,
                                     stats_response, timing_breakdown)
-from repro.service.supervisor import WorkerPool
+from repro.service.supervisor import Template, WorkerPool
 from repro.store import atomic_write
 from repro.telemetry.obs import (SPAN_CACHE_LOOKUP, SPAN_CONFIRM,
                                  SPAN_POOL_DISPATCH, SPAN_QUEUE_WAIT,
@@ -148,12 +149,14 @@ class SpecLintService:
             on_quarantine=lambda key: self.flight.record(
                 "quarantine", key=key))
         work_dir = os.path.join(config.state_dir, "work")
+        #: The fork-server template both pools launch workers from.
+        self.template = Template()
         pool_kwargs = dict(
             stats=self.stats, quarantine=self.quarantine,
             max_restarts=config.max_restarts,
             stall_timeout_s=config.stall_timeout_s,
             allow_chaos=config.allow_chaos, worker_argv=worker_argv,
-            flight=self.flight)
+            flight=self.flight, template=self.template)
         self.static_pool = WorkerPool(
             "static", work_dir, size=config.static_workers,
             breaker=self._breaker("static"), **pool_kwargs)
@@ -167,6 +170,9 @@ class SpecLintService:
         self._drain_task: Optional[asyncio.Task] = None
         self._drained = asyncio.Event()
         self._conn_seq = itertools.count()
+        #: (reader, writer) of each open TCP connection, for the hang-up
+        #: at the end of a drain.
+        self._connections: set = set()
         self.shutdown_report: Optional[dict] = None
 
     def _breaker(self, pool_name: str) -> CircuitBreaker:
@@ -182,11 +188,13 @@ class SpecLintService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the TCP listener and start the dispatcher tasks."""
+        """Bind the TCP listener, start the worker template's preload off
+        the event loop, and start the dispatcher tasks."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=max(self.config.max_request_bytes * 2, 64 * 1024))
         self.port = self._server.sockets[0].getsockname()[1]
+        self.template.start()
         count = self.config.static_workers + self.config.dynamic_workers
         self._dispatchers = [
             asyncio.create_task(self._dispatcher(), name=f"dispatch-{i}")
@@ -269,7 +277,15 @@ class SpecLintService:
         self.spans.close()
         self.shutdown_report = report
         if self._server is not None:
+            # Every accepted request has its answer.  End each open
+            # connection's input, so serve_stream writes its last answers
+            # and hangs up: from Python 3.12.1, wait_closed() also waits
+            # for every connection.  Reading stops first, since a stream
+            # takes no data after its EOF.
             self._server.close()
+            for reader, writer in list(self._connections):
+                writer.transport.pause_reading()
+                reader.feed_eof()
             await self._server.wait_closed()
         self._drained.set()
         return report
@@ -281,7 +297,12 @@ class SpecLintService:
         peer = writer.get_extra_info("peername")
         client_id = (f"{peer[0]}:{peer[1]}" if peer
                      else f"conn-{next(self._conn_seq)}")
-        await self.serve_stream(reader, writer, client_id)
+        connection = (reader, writer)
+        self._connections.add(connection)
+        try:
+            await self.serve_stream(reader, writer, client_id)
+        finally:
+            self._connections.discard(connection)
 
     async def serve_stream(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter,
@@ -621,7 +642,10 @@ async def open_stdio_stream(
     reader = asyncio.StreamReader(limit=limit)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin)
+    # A stream protocol, not the bare FlowControlMixin: only the former
+    # implements the close waiter that StreamWriter.wait_closed() awaits.
     transport, proto = await loop.connect_write_pipe(
-        asyncio.streams.FlowControlMixin, sys.stdout)
+        lambda: asyncio.StreamReaderProtocol(asyncio.StreamReader()),
+        sys.stdout)
     writer = asyncio.StreamWriter(transport, proto, reader, loop)
     return reader, writer

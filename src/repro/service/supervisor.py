@@ -1,14 +1,20 @@
 """Supervised async worker pool for the spec-lint service.
 
-Wraps the shared :mod:`repro.campaign.pool` primitives (launch, heartbeat
-liveness, exit classification, reap) in an asyncio supervision loop:
+Wraps the shared :mod:`repro.campaign.pool` primitives (forked launch,
+heartbeat liveness, exit classification, reap) in an asyncio supervision
+loop:
 
-- **bounded concurrency** — at most ``size`` worker subprocesses per pool;
+- **forked launch** — every attempt is a fresh ``fork()`` of one
+  :class:`Template` process that imported the worker's modules once, so a
+  job pays for a fork, not for an interpreter start and its imports; the
+  supervisor sleeps on the worker's exit sentinel, waking when it exits or
+  when a liveness check falls due;
+- **bounded concurrency** — at most ``size`` worker processes per pool;
 - **deadlines** — each job runs under the request's remaining budget as
   its wall limit; overruns are reaped and surface as typed ``deadline``
   errors, refunding the slot;
 - **cooperative cancellation** — cancelling :meth:`WorkerPool.submit`
-  reaps the subprocess before propagating, so a dropped client or a drain
+  reaps the worker before propagating, so a dropped client or a drain
   cut never leaks a worker;
 - **heartbeat liveness** — a worker that stops pulsing (wedged analyzer,
   livelocked simulation) is reaped as ``stalled`` and treated as a death;
@@ -21,9 +27,11 @@ liveness, exit classification, reap) in an asyncio supervision loop:
   :class:`~repro.service.breaker.Quarantine` (a hash that keeps killing
   workers is poison and gets typed ``quarantined`` rejections).
 
-The pool is job-per-process, so "restart" means relaunching the job in a
-fresh subprocess — there is no long-lived worker state to resurrect, which
-is exactly what makes the restarts safe.
+The pool is job-per-process: each attempt runs in its own fork of the
+template, whose memory is a copy of the template's post-import image and
+never of an earlier job's.  So "restart" means relaunching the job in a
+fresh fork — there is no long-lived worker state to resurrect, which is
+exactly what makes the restarts safe.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import time
 from typing import Callable, List, Optional
 
 from repro.campaign import pool
-from repro.campaign.pool import AdaptiveWait, WorkerExit
+from repro.campaign.pool import WorkerExit, WorkerProcess
 from repro.errors import ServiceError
 from repro.service.breaker import CircuitBreaker, Quarantine
 from repro.store import atomic_write
@@ -47,6 +55,15 @@ from repro.telemetry.service import ServiceStats
 #: Worker-exit kinds that count as deaths (environmental, retryable).
 DEATH_KINDS = frozenset({"crashed", "killed", pool.STALLED})
 
+#: What the template imports once: the worker, and what ``run_job``
+#: imports lazily.
+TEMPLATE_PRELOAD = ("repro.service.worker", "repro.analysis.modular",
+                    "repro.analysis.options", "repro.analysis.witness",
+                    "repro.attacks.common", "repro.system")
+
+#: Past a liveness deadline before re-checking (the checks are strict).
+_CHECK_SLACK_S = 0.001
+
 
 def default_worker_argv(paths: dict, allow_chaos: bool) -> List[str]:
     argv = [sys.executable, "-m", "repro.service.worker",
@@ -55,6 +72,48 @@ def default_worker_argv(paths: dict, allow_chaos: bool) -> List[str]:
     if allow_chaos:
         argv.append("--allow-chaos")
     return argv
+
+
+class Template:
+    """The fork-server template that one service's pools fork from.
+
+    :meth:`start` runs the preload in the default executor, never on the
+    event loop; launches await :meth:`ready`, then fork on the loop
+    thread.  Every later multiprocessing call stays on that one thread:
+    starting a process polls every live child, and two threads reading one
+    child's status pipe can lose its exit code.
+    """
+
+    def __init__(self) -> None:
+        self._ready: Optional[asyncio.Future] = None
+
+    def start(self) -> None:
+        if self._ready is None:
+            self._ready = asyncio.get_running_loop().run_in_executor(
+                None, pool.start_template, TEMPLATE_PRELOAD)
+
+    async def ready(self) -> None:
+        """Wait until the template can fork, starting it if need be."""
+        self.start()
+        assert self._ready is not None
+        try:
+            await asyncio.shield(self._ready)
+        except Exception:
+            self._ready = None   # start afresh on the next launch
+            raise
+
+
+async def _sleep_until_exit(worker: WorkerProcess, timeout: float) -> None:
+    """Sleep until ``worker`` exits or ``timeout`` seconds pass."""
+    loop = asyncio.get_running_loop()
+    exited = loop.create_future()
+    sentinel = worker.proc.sentinel
+    loop.add_reader(sentinel,
+                    lambda: exited.done() or exited.set_result(None))
+    try:
+        await asyncio.wait((exited,), timeout=timeout)
+    finally:
+        loop.remove_reader(sentinel)
 
 
 class WorkerPool:
@@ -67,7 +126,8 @@ class WorkerPool:
                  max_restarts: int = 1, backoff_base_s: float = 0.05,
                  stall_timeout_s: float = 20.0, allow_chaos: bool = False,
                  worker_argv: Optional[Callable[..., List[str]]] = None,
-                 flight: Optional[FlightRecorder] = None):
+                 flight: Optional[FlightRecorder] = None,
+                 template: Optional[Template] = None):
         self.name = name
         self.work_dir = work_dir
         self.stats = stats
@@ -79,6 +139,7 @@ class WorkerPool:
         self.stall_timeout_s = stall_timeout_s
         self.allow_chaos = allow_chaos
         self.worker_argv = worker_argv or default_worker_argv
+        self.template = template if template is not None else Template()
         self._slots = asyncio.Semaphore(size)
         self._seq = itertools.count()
         self.size = size
@@ -126,6 +187,7 @@ class WorkerPool:
                                 deadline: float) -> dict:
         deaths = 0
         while True:
+            await self.template.ready()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ServiceError("request budget expired", kind="deadline")
@@ -187,13 +249,12 @@ class WorkerPool:
                 os.unlink(paths[stale])
             except OSError:
                 pass
-        worker = pool.launch(
+        worker = pool.fork(
             self.worker_argv(paths, self.allow_chaos),
             out_path=paths["out"], heartbeat_path=paths["heartbeat"],
             log_path=paths["log"], timeout_s=budget_s,
             stall_timeout_s=min(self.stall_timeout_s, budget_s))
         self._active.add(worker)
-        wait = AdaptiveWait(base=0.005, cap=0.1)
         try:
             while True:
                 exit = worker.exit()
@@ -211,7 +272,8 @@ class WorkerPool:
                                 trace=job.get("trace", ""))
                 if exit is not None:
                     return exit
-                await asyncio.sleep(wait.interval(active=False))
+                await _sleep_until_exit(
+                    worker, worker.next_check_s() + _CHECK_SLACK_S)
         except asyncio.CancelledError:
             worker.reap()
             if self.stats is not None:

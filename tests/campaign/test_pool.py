@@ -2,13 +2,17 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.campaign import pool
 from repro.campaign.pool import (AdaptiveWait, WorkerProcess, classify_exit,
                                  launch)
+from repro.service.supervisor import TEMPLATE_PRELOAD
 
 
 class TestClassifyExit:
@@ -42,13 +46,23 @@ class TestClassifyExit:
 
 
 class TestWorkerProcess:
+    """The launch contract, over :func:`launch` (a spawned interpreter);
+    :class:`TestForkedWorkerProcess` reruns every test over :func:`fork`."""
+
+    launcher = staticmethod(launch)
+
     def _spawn(self, tmp_path, code, **kwargs):
         paths = {name: str(tmp_path / name)
                  for name in ("out", "hb", "log")}
-        worker = launch([sys.executable, "-c", code],
-                        out_path=paths["out"], heartbeat_path=paths["hb"],
-                        log_path=paths["log"], **kwargs)
+        worker = self.launcher([sys.executable, "-c", code],
+                               out_path=paths["out"],
+                               heartbeat_path=paths["hb"],
+                               log_path=paths["log"], **kwargs)
         return worker, paths
+
+    def _finish(self, worker):
+        worker.proc.wait(timeout=10)
+        return worker.exit()
 
     def test_successful_worker_round_trip(self, tmp_path):
         out = str(tmp_path / "out")
@@ -91,6 +105,66 @@ class TestWorkerProcess:
         worker, paths = self._spawn(tmp_path, "print('hello from worker')")
         worker.proc.wait(timeout=10)
         assert "hello from worker" in pool.log_tail(paths["log"])
+
+    def test_system_exit_code_is_crashed(self, tmp_path):
+        worker, _ = self._spawn(tmp_path, "raise SystemExit(70)")
+        exit = self._finish(worker)
+        assert exit.kind == "crashed" and "exit code 70" in exit.error
+
+    def test_sigkill_is_killed(self, tmp_path):
+        worker, _ = self._spawn(tmp_path, "import time; time.sleep(600)")
+        os.kill(worker.pid, signal.SIGKILL)
+        exit = self._finish(worker)
+        assert exit.kind == "killed" and "signal 9" in exit.error
+
+
+@pytest.fixture(scope="class")
+def template():
+    pool.start_template(TEMPLATE_PRELOAD)
+
+
+@pytest.mark.usefixtures("template")
+class TestForkedWorkerProcess(TestWorkerProcess):
+    launcher = staticmethod(pool.fork)
+
+    def _probe(self, tmp_path, code):
+        """Run ``code`` in a forked job; it dumps its finding as JSON to
+        the path bound to ``found``."""
+        found = str(tmp_path / "found.json")
+        worker, paths = self._spawn(tmp_path, f"found = {found!r}\n" + code)
+        assert worker.proc.wait(timeout=10) == 0, \
+            pool.log_tail(paths["log"])
+        with open(found, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_preload_is_in_the_fork(self, tmp_path):
+        # Checked before the job imports anything itself.
+        loaded = self._probe(tmp_path, (
+            "import sys\n"
+            "loaded = {m: m in sys.modules for m in "
+            "('repro.analysis.taint', 'repro.system')}\n"
+            "import json\n"
+            "json.dump(loaded, open(found, 'w'))"))
+        assert loaded == {"repro.analysis.taint": True,
+                          "repro.system": True}
+
+    def test_each_job_gets_a_fresh_image(self, tmp_path):
+        marked = self._probe(tmp_path, (
+            "import json, repro\n"
+            "repro.left_by_an_earlier_job = True\n"
+            "json.dump(True, open(found, 'w'))"))
+        seen = self._probe(tmp_path, (
+            "import json, repro\n"
+            "json.dump(hasattr(repro, 'left_by_an_earlier_job'), "
+            "open(found, 'w'))"))
+        assert marked is True and seen is False
+
+    def test_argv_must_be_module_or_code(self, tmp_path):
+        with pytest.raises(ValueError):
+            pool.fork([sys.executable, "script.py"],
+                      out_path=str(tmp_path / "out"),
+                      heartbeat_path=str(tmp_path / "hb"),
+                      log_path=str(tmp_path / "log"))
 
 
 class TestWorkerEnv:

@@ -3,10 +3,14 @@
 import asyncio
 import json
 import os
+import signal
+import subprocess
 import sys
 
-from repro.service.__main__ import CLEAN_SOURCE, _Client
+from repro.campaign import pool
+from repro.service.__main__ import CLEAN_SOURCE, _by_id, _Client
 from repro.service.server import ServiceConfig, SpecLintService
+from repro.service.supervisor import default_worker_argv
 
 
 def config_for(tmp_path, **overrides) -> ServiceConfig:
@@ -197,22 +201,101 @@ class TestPoisonQuarantine:
             "shutdown report lists the poisoned hash"
 
 
+def _gone(pid: int) -> bool:
+    """True once ``pid`` no longer runs (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except OSError:
+        return True
+
+
+class TestTemplateDeath:
+    def test_killed_template_costs_one_death_and_restarts(self, tmp_path):
+        """SIGKILL the fork-server template under a running job: the job
+        counts one death and is retried in a fork of a fresh template, its
+        orphan is killed, and the next request is served."""
+        attempts = []
+
+        def first_attempt_sleeps(paths, allow_chaos):
+            attempts.append(paths)
+            if len(attempts) == 1:
+                return [sys.executable, "-c", "import time; time.sleep(60)"]
+            return default_worker_argv(paths, allow_chaos)
+
+        async def scenario():
+            service = await start_service(config_for(tmp_path),
+                                          worker_argv=first_attempt_sleeps)
+            client = await _Client.connect(service.port)
+            await client.send({"id": "t1", "op": "lint", "witness": "pht"})
+
+            async def first_attempt_running():
+                while not service.static_pool._active:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(first_attempt_running(), 30.0)
+            (orphan,) = service.static_pool._active
+            killed = pool.template_pid()
+            os.kill(killed, signal.SIGKILL)
+            retried = await client.recv(timeout=60.0)
+            after = await client.request(
+                {"id": "t2", "op": "lint", "witness": "stl"}, timeout=60.0)
+            client.close()
+            report = await stop_service(service)
+            return retried, after, orphan.pid, killed, report
+
+        retried, after, orphan, killed, report = asyncio.run(scenario())
+        assert retried["ok"] is True and retried["tier"] == "static"
+        assert after["ok"] is True and after["cached"] is False
+        assert pool.template_pid() != killed
+        assert _gone(orphan), "the orphaned worker must not outlive it"
+        workers = report["stats"]["service"]["workers"]
+        assert workers["deaths"] == 1 and workers["restarts"] == 1
+
+
+class TestStdio:
+    def test_two_lines_then_eof(self, tmp_path):
+        """Over ``--stdio`` (whose stdout the worker template shares),
+        two lint lines then EOF give exactly two JSON lines and exit 0."""
+        lines = [json.dumps({"id": f"s{i}", "op": "lint", "witness": w})
+                 for i, w in enumerate(("pht", "stl"))]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--state-dir",
+             str(tmp_path / "state"), "--stdio"],
+            input="\n".join(lines) + "\n", capture_output=True, text=True,
+            env=pool.worker_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.splitlines()
+        assert len(out) == 2, proc.stdout
+        answers = _by_id([json.loads(line) for line in out])
+        assert set(answers) == {"s0", "s1"}
+        assert all(a["ok"] is True for a in answers.values())
+
+
 class TestDrainInvariant:
     def test_every_accepted_request_resolves_under_drain(self, tmp_path):
         async def scenario():
+            # The first lint wedges the single static worker (it never
+            # heartbeats, and the stall timeout outlasts the drain), so the
+            # lints queued behind it are cut however fast the host lints.
             config = config_for(tmp_path, static_workers=1,
-                                drain_timeout_s=0.2)
+                                drain_timeout_s=0.2, allow_chaos=True)
             service = await start_service(config)
             client = await _Client.connect(service.port)
-            subjects = ["pht", "stl", "btb"]
-            for i, witness in enumerate(subjects):
+            subjects = [("pht", "hang"), ("stl", ""), ("btb", "")]
+            for i, (witness, chaos) in enumerate(subjects):
                 await client.send({"id": f"q{i}", "op": "lint",
-                                   "witness": witness})
+                                   "witness": witness, "chaos": chaos})
             await asyncio.sleep(0.05)
             service.request_drain()
-            responses = await client.collect(len(subjects), timeout=60.0)
-            late = await client.request(
-                {"id": "late", "op": "lint", "witness": "rsb"})
+            await asyncio.sleep(0.05)
+            # Sent while the drain runs, before it hangs up.
+            await client.send({"id": "late", "op": "lint",
+                               "witness": "rsb"})
+            answered = _by_id(await client.collect(len(subjects) + 1,
+                                                   timeout=60.0))
+            late = answered.pop("late")
+            responses = list(answered.values())
             client.close()
             await asyncio.wait_for(service.wait_drained(), 30.0)
             return responses, late, service.shutdown_report
@@ -228,6 +311,23 @@ class TestDrainInvariant:
         assert report["status"] == "cut"
         assert report["stats"]["service"]["lifecycle"][
             "cancelled_at_drain"] >= 1
+
+    def test_drain_hangs_up_open_connections(self, tmp_path):
+        """A client still connected when the drain ends reads EOF (and
+        the drain itself returns, which Python >= 3.12.1 needs)."""
+        async def scenario():
+            service = await start_service(config_for(tmp_path))
+            client = await _Client.connect(service.port)
+            pong = await client.request({"id": "p", "op": "ping"})
+            report = await stop_service(service)
+            tail = await asyncio.wait_for(client.reader.readline(), 10.0)
+            client.close()
+            return pong, report, tail
+
+        pong, report, tail = asyncio.run(scenario())
+        assert pong["pong"] is True
+        assert report["status"] == "drained"
+        assert tail == b""
 
     def test_shutdown_report_file_is_written(self, tmp_path):
         async def scenario():
