@@ -141,11 +141,16 @@ _STORES = {Opcode.STR, Opcode.STRB, Opcode.STG}
 #: Opcodes that complete at dispatch without entering the issue queue.
 _NO_ISSUE = {Opcode.B, Opcode.NOP, Opcode.BTI, Opcode.SB, Opcode.HALT}
 
-#: Per-opcode classification, decoded once: (klass, is_load, is_store,
-#: is_memory, is_branch, needs_issue).
+#: Access width in bytes of the memory opcodes that are not 8 bytes wide
+#: (granule-wide for STG/LDG).
+_WIDTHS = {Opcode.LDRB: 1, Opcode.STRB: 1, Opcode.STG: 16, Opcode.LDG: 16}
+
+#: Per-opcode classification, decoded once: (klass, klass_key, is_load,
+#: is_store, is_memory, is_branch, needs_issue, memory_bytes).
 _DECODE = {
-    op: (klass, op in _LOADS, op in _STORES, op in _LOADS or op in _STORES,
-         klass is InstrClass.BRANCH, op not in _NO_ISSUE)
+    op: (klass, klass.value, op in _LOADS, op in _STORES,
+         op in _LOADS or op in _STORES, klass is InstrClass.BRANCH,
+         op not in _NO_ISSUE, _WIDTHS.get(op, 8))
     for op, klass in _CLASS_BY_OP.items()
 }
 
@@ -168,9 +173,12 @@ class Instruction:
       program is linked.
 
     The classification (``klass``, ``is_load``, ``is_store``, ``is_memory``,
-    ``is_branch``, ``needs_issue``) is decoded once from ``op`` into plain
-    attributes, not dataclass fields, so ``==``, ``repr`` and ``asdict``
-    see only the operands.
+    ``is_branch``, ``needs_issue``), the access width ``memory_bytes`` and
+    ``klass_key`` (``klass.value``: the pipeline's port and latency tables
+    are keyed by this string, which hashes in C, where an enum member hashes
+    in Python) are decoded once from ``op`` into plain attributes, not
+    dataclass fields, so ``==``, ``repr`` and ``asdict`` see only the
+    operands.
     """
 
     op: Opcode
@@ -193,8 +201,9 @@ class Instruction:
     # -- classification -----------------------------------------------------
 
     def __post_init__(self) -> None:
-        (self.klass, self.is_load, self.is_store, self.is_memory,
-         self.is_branch, self.needs_issue) = _DECODE[self.op]
+        (self.klass, self.klass_key, self.is_load, self.is_store,
+         self.is_memory, self.is_branch, self.needs_issue,
+         self.memory_bytes) = _DECODE[self.op]
 
     @property
     def is_conditional_branch(self) -> bool:
@@ -215,15 +224,6 @@ class Instruction:
     @property
     def is_barrier(self) -> bool:
         return self.op is Opcode.SB
-
-    @property
-    def memory_bytes(self) -> int:
-        """Access width in bytes for loads/stores (granule-wide for STG/LDG)."""
-        if self.op in (Opcode.LDRB, Opcode.STRB):
-            return 1
-        if self.op in (Opcode.STG, Opcode.LDG):
-            return 16
-        return 8
 
     # -- register dependencies ----------------------------------------------
 

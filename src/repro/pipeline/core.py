@@ -37,9 +37,14 @@ from repro.isa.program import Program
 from repro.isa.registers import LR, SP, XZR
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.mte.tags import key_of, strip_tag, with_key
-from repro.pipeline.dyninstr import DynInstr, InstrState, TagCheckStatus
+from repro.pipeline.dyninstr import (
+    DynInstr,
+    InstrState,
+    NO_EVENT,
+    TagCheckStatus,
+)
 from repro.pipeline.exec_units import ExecPorts
-from repro.pipeline.lsq import LoadStoreQueues, NO_EVENT
+from repro.pipeline.lsq import LoadStoreQueues
 from repro.pipeline.predictors import (
     BranchHistoryBuffer,
     BranchTargetBuffer,
@@ -50,7 +55,6 @@ from repro.pipeline.predictors import (
 from repro.pipeline.stats import CoreStats
 
 _WORD_MASK = (1 << 64) - 1
-_DISPATCHED = InstrState.DISPATCHED
 
 
 def _to_signed(value: int) -> int:
@@ -81,19 +85,23 @@ class Core:
         self.seq = 0
         self.rob: List[DynInstr] = []
         self.iq: List[DynInstr] = []
+        #: The IQ entries whose ``issue_waits`` is empty, in seq order (see
+        #: :meth:`_wake_consumers`).
+        self._ready: List[DynInstr] = []
         self.fetch_queue: List[DynInstr] = []
         self.rename: Dict[int, DynInstr] = {}
         self.lsq = LoadStoreQueues(self)
         self.ports = ExecPorts()
         core = config.core
-        self._latencies: Dict[InstrClass, int] = {
-            InstrClass.ALU: core.alu_latency,
-            InstrClass.MUL: core.mul_latency,
-            InstrClass.DIV: core.div_latency,
-            InstrClass.BRANCH: core.branch_latency,
-            InstrClass.MTE: core.alu_latency,
-            InstrClass.LOAD: core.agu_latency,
-            InstrClass.STORE: core.agu_latency,
+        #: Execute latency by ``Instruction.klass_key``.
+        self._latencies: Dict[str, int] = {
+            InstrClass.ALU.value: core.alu_latency,
+            InstrClass.MUL.value: core.mul_latency,
+            InstrClass.DIV.value: core.div_latency,
+            InstrClass.BRANCH.value: core.branch_latency,
+            InstrClass.MTE.value: core.alu_latency,
+            InstrClass.LOAD.value: core.agu_latency,
+            InstrClass.STORE.value: core.agu_latency,
         }
         #: The ROB indexed by seq (:meth:`in_flight`).
         self._rob_by_seq: Dict[int, DynInstr] = {}
@@ -299,10 +307,10 @@ class Core:
                     and self.lsq.can_dispatch(head)):
                 return busy
         # issue
-        for dyn in self.iq:
-            if self._operands_ready(dyn) and not (
-                    self._pending_sb and self._blocked_by_sb(dyn)):
-                return busy
+        ready = self._ready
+        if ready and not (self._pending_sb and all(
+                self._blocked_by_sb(dyn) for dyn in ready)):
+            return busy
         # writeback and the unsafe broadcast
         if self._completions:
             wake = min(wake, min(self._completions))
@@ -404,8 +412,7 @@ class Core:
             static = self.program.fetch(self.fetch_pc)
             if static is None:
                 return  # ran past the text segment; wait for a redirect
-            dyn = DynInstr(seq=self.seq, static=static, pc=self.fetch_pc,
-                           fetch_cycle=self.cycle)
+            dyn = DynInstr(self.seq, static, self.fetch_pc, self.cycle)
             self.seq += 1
             self.stats.fetched += 1
             if self.trace is not None:
@@ -515,6 +522,8 @@ class Core:
             if needs_issue:
                 dyn.state = InstrState.DISPATCHED
                 self.iq.append(dyn)
+                if self._register_waits(dyn):
+                    self._ready.append(dyn)  # the youngest: seq order holds
             else:
                 dyn.state = InstrState.COMPLETED
                 dyn.complete_cycle = self.cycle
@@ -523,70 +532,72 @@ class Core:
             budget -= 1
 
     def _rename(self, dyn: DynInstr) -> None:
+        rename = self.rename
+        producers = dyn.producers
         for reg in dyn.static.src_regs:
-            dyn.producers[reg] = self.rename.get(reg)
-        roots = set()
-        tainted = False
-        for producer in dyn.producers.values():
-            if producer is None:
-                continue
-            roots |= producer.taint_roots
-            if producer.is_load:
-                roots.add(producer.seq)
-        dyn.taint_roots = frozenset(roots)
+            producers[reg] = rename.get(reg)
+        # Taint roots: the union of the producers' roots plus each load
+        # producer's own seq.  When a single non-load producer contributes,
+        # its (immutable) set is shared rather than copied.
+        contributors = [p for p in producers.values()
+                        if p is not None and (p.taint_roots or p.is_load)]
+        if len(contributors) == 1 and not contributors[0].is_load:
+            dyn.taint_roots = contributors[0].taint_roots
+        elif contributors:
+            roots = set()
+            for producer in contributors:
+                roots |= producer.taint_roots
+                if producer.is_load:
+                    roots.add(producer.seq)
+            dyn.taint_roots = frozenset(roots)
         for reg in dyn.static.dst_regs:
-            self.rename[reg] = dyn
-        dyn.issue_waits = self._issue_waits(dyn)
+            rename[reg] = dyn
 
     @staticmethod
-    def _issue_waits(dyn: DynInstr) -> List[DynInstr]:
-        """The producers ``dyn``'s issue waits on that have not completed."""
+    def _register_waits(dyn: DynInstr) -> bool:
+        """Set ``dyn.issue_waits`` to the producers its issue waits on that
+        have not completed, and add ``dyn`` to each one's ``consumers`` (a
+        producer feeding two operands appears twice on both sides).  True
+        when there is none: the operands are ready."""
         static = dyn.static
-        if dyn.is_store:
-            # Stores issue their address once base/index are ready; the data
-            # operand may arrive later (checked at forward/commit time).
-            regs = [r for r in (static.rn, static.rm)
-                    if r is not None and r != XZR]
-        else:
-            regs = static.src_regs
+        # Stores issue their address once base/index are ready; the data
+        # operand may arrive later (checked at forward/commit time).  A
+        # register with no producer entry (None, XZR) reads the ARF.
+        regs = (static.rn, static.rm) if dyn.is_store else static.src_regs
+        producers = dyn.producers
         waits = []
         for reg in regs:
-            producer = dyn.producers.get(reg)
+            producer = producers.get(reg)
             if producer is not None and not producer.completed:
                 waits.append(producer)
-        return waits
+                producer.consumers.append(dyn)
+        dyn.issue_waits = waits
+        return not waits
 
     # ==================================================================
     # issue + execute
     # ==================================================================
-
-    @staticmethod
-    def _operands_ready(dyn: DynInstr) -> bool:
-        """Prune ``dyn``'s completed producers; True once none is left
-        (completion is final, so a pruned producer never comes back)."""
-        waits = dyn.issue_waits
-        while waits and waits[-1].completed:
-            waits.pop()
-        return not waits
 
     def _blocked_by_sb(self, dyn: DynInstr) -> bool:
         return any(sb.seq < dyn.seq and sb.state is not InstrState.COMMITTED
                    for sb in self._pending_sb)
 
     def _issue(self) -> None:
-        # The IQ is in seq order (dispatch appends in order, squash filters),
-        # so walking it is oldest-first.
+        # ``_ready`` holds exactly the IQ entries with their operands, in
+        # seq order, so walking it is the oldest-first walk of the IQ that
+        # skips the entries still waiting: nothing completes during issue.
         budget = self.config.core.issue_width
-        issued = False
-        for dyn in self.iq:
-            if not self._operands_ready(dyn):
+        pending_sb = self._pending_sb
+        policy = self.policy
+        claim = self.ports.claim
+        issued = []
+        for dyn in self._ready:
+            if pending_sb and self._blocked_by_sb(dyn):
                 continue
-            if self._pending_sb and self._blocked_by_sb(dyn):
-                continue
-            if not self.policy.may_issue(dyn):
+            if not policy.may_issue(dyn):
                 self.mark_restricted(dyn)
                 continue
-            if not self.ports.try_claim(dyn.klass):
+            if not claim(dyn.static.klass_key):
                 continue
             dyn.state = InstrState.ISSUED
             dyn.issue_cycle = self.cycle
@@ -596,20 +607,23 @@ class Core:
                 # the data is finally released in complete_load.
                 self._note_restriction_lift(dyn)
             self._execute(dyn)
-            issued = True
-            budget -= 1
-            if budget <= 0:
+            issued.append(dyn)
+            if len(issued) >= budget:
                 break
-        if issued:
-            self.iq = [d for d in self.iq if d.state is _DISPATCHED]
+        for dyn in issued:
+            self._ready.remove(dyn)
+            self.iq.remove(dyn)
 
     def _execute(self, dyn: DynInstr) -> None:
         """Compute ``dyn``'s result (or address) and schedule completion."""
         static = dyn.static
         op = static.op
         # Oracle taint flows through every computed value.
-        dyn.secret_tainted = dyn.secret_tainted or any(
-            p is not None and p.secret_tainted for p in dyn.producers.values())
+        if not dyn.secret_tainted:
+            for producer in dyn.producers.values():
+                if producer is not None and producer.secret_tainted:
+                    dyn.secret_tainted = True
+                    break
         if dyn.secret_tainted and self.is_speculative(dyn):
             self.leak_log.append({
                 "kind": "contention", "seq": dyn.seq, "pc": dyn.pc,
@@ -622,11 +636,14 @@ class Core:
             dyn.addr = (base + offset) & _WORD_MASK
             dyn.addr_ready_cycle = self.cycle + self.config.core.agu_latency
             if dyn.is_store:
-                self._schedule_completion(dyn, self.cycle + self.config.core.agu_latency)
-            # Loads complete later, via the LSQ.
+                self._schedule_completion(dyn, dyn.addr_ready_cycle)
+            else:
+                # Loads complete later, via the LSQ, which first looks at
+                # the load once its address is ready.
+                dyn.lsq_wake = dyn.addr_ready_cycle
             return
 
-        latency = self._latencies.get(dyn.klass, 1)
+        latency = self._latencies.get(static.klass_key, 1)
         if dyn.is_branch:
             if dyn.resolved:  # B/BL resolved at fetch; BL just writes LR
                 if op in (Opcode.BL,):
@@ -700,13 +717,27 @@ class Core:
         z = bool(flags & 4)
         c = bool(flags & 2)
         v = bool(flags & 1)
-        return {
-            Cond.EQ: z, Cond.NE: not z,
-            Cond.LO: not c, Cond.HS: c,
-            Cond.LT: n != v, Cond.GE: n == v,
-            Cond.LE: z or (n != v), Cond.GT: (not z) and (n == v),
-            Cond.MI: n, Cond.PL: not n,
-        }[cond]
+        if cond is Cond.EQ:
+            return z
+        if cond is Cond.NE:
+            return not z
+        if cond is Cond.LO:
+            return not c
+        if cond is Cond.HS:
+            return c
+        if cond is Cond.LT:
+            return n != v
+        if cond is Cond.GE:
+            return n == v
+        if cond is Cond.LE:
+            return z or (n != v)
+        if cond is Cond.GT:
+            return (not z) and (n == v)
+        if cond is Cond.MI:
+            return n
+        if cond is Cond.PL:
+            return not n
+        raise KeyError(cond)
 
     def _compute_branch_outcome(self, dyn: DynInstr) -> None:
         static = dyn.static
@@ -742,15 +773,36 @@ class Core:
     # ==================================================================
 
     def _writeback(self) -> None:
-        for dyn in self._completions.pop(self.cycle, []):
+        for dyn in self._completions.pop(self.cycle, ()):
             if dyn.squashed:
                 continue
             dyn.state = InstrState.COMPLETED
+            if dyn.consumers:
+                self._wake_consumers(dyn)
             dyn.speculative_at_complete = (
                 self.is_speculative(dyn) or bool(dyn.bypassed_store_seqs))
             self.policy.on_execute(dyn)
             if dyn.is_branch and not dyn.resolved:
                 self._resolve_branch(dyn)
+
+    def _wake_consumers(self, producer: DynInstr) -> None:
+        """``producer`` completed: drop it from each consumer's
+        ``issue_waits`` and insert each consumer left waiting on nothing
+        into ``_ready`` by seq.  Completion is final, so ``_ready`` stays
+        the IQ entries with their operands; a squashed consumer is no
+        longer in the IQ and stays out."""
+        ready = self._ready
+        for consumer in producer.consumers:
+            waits = consumer.issue_waits
+            waits.remove(producer)
+            if waits or consumer.squashed:
+                continue
+            seq = consumer.seq
+            index = len(ready)
+            while index and ready[index - 1].seq > seq:
+                index -= 1
+            ready.insert(index, consumer)
+        producer.consumers.clear()
 
     def _resolve_branch(self, dyn: DynInstr) -> None:
         dyn.resolved = True
@@ -809,6 +861,7 @@ class Core:
                 trace.on_squash(dyn, self.cycle, reason)
         self.rob = [d for d in self.rob if d.seq < seq]
         self.iq = [d for d in self.iq if d.seq < seq]
+        self._ready = [d for d in self._ready if d.seq < seq]
         self.fetch_queue = [d for d in self.fetch_queue if d.seq < seq]
         self.lsq.squash_from(seq)
         self._pending_sb = [d for d in self._pending_sb if d.seq < seq]
@@ -1137,8 +1190,9 @@ class Core:
         self.rob = [instrs[seq] for seq in state["rob"]]
         self._rob_by_seq = {dyn.seq: dyn for dyn in self.rob}
         self.iq = [instrs[seq] for seq in state["iq"]]
-        for dyn in self.iq:
-            dyn.issue_waits = self._issue_waits(dyn)
+        # Derived, not stored: the restored instructions have no consumers
+        # yet, so registering the IQ in order rebuilds both sides.
+        self._ready = [dyn for dyn in self.iq if self._register_waits(dyn)]
         self.fetch_queue = [instrs[seq] for seq in state["fetch_queue"]]
         self.rename = {reg: instrs[seq] for reg, seq in state["rename"]}
         self._completions = {

@@ -11,8 +11,7 @@ taint roots.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.memory.request import MemResponse
@@ -41,67 +40,73 @@ class InstrState(enum.Enum):
     COMMITTED = "committed"
 
 
-_DONE = (InstrState.COMPLETED, InstrState.COMMITTED)
+_COMPLETED = InstrState.COMPLETED
+_COMMITTED = InstrState.COMMITTED
+
+#: "No wake cycle is known": later than any cycle a run reaches.
+NO_EVENT = 1 << 62
 
 
-@dataclass(eq=False)
 class DynInstr:
     """One in-flight instruction.
 
-    Equality is identity: ``seq`` is unique, and queue membership tests
-    (``in``, ``list.remove``) must not compare every field.
+    A plain class: ``__init__`` sets the per-instruction fields and every
+    other field starts from a class-level (immutable) default, so an
+    instruction is cheap to build.  Equality is identity: ``seq`` is
+    unique, and queue membership tests (``in``, ``list.remove``) must not
+    compare every field.
     """
 
-    seq: int
-    static: Instruction
-    pc: int
-    state: InstrState = InstrState.FETCHED
-    squashed: bool = False
+    _state = InstrState.FETCHED
+    #: ``state`` is COMPLETED or COMMITTED; kept in step by the ``state``
+    #: setter, so the hot paths read a plain attribute.
+    completed = False
+    squashed = False
 
-    # Renamed sources: arch reg -> producing DynInstr (None = read the ARF).
-    producers: Dict[int, Optional["DynInstr"]] = field(default_factory=dict)
     result: Optional[int] = None
-    issue_cycle: int = -1
-    complete_cycle: int = -1
+    issue_cycle = -1
+    complete_cycle = -1
 
     # Pipeline timestamps (repro.telemetry): -1 until the stage is reached.
-    fetch_cycle: int = -1
-    dispatch_cycle: int = -1
-    commit_cycle: int = -1
-    squash_cycle: int = -1
+    dispatch_cycle = -1
+    commit_cycle = -1
+    squash_cycle = -1
     #: Cycle the active defense first restricted this instruction, and the
     #: cycle that restriction lifted (load data released / issue finally
     #: allowed) — their difference is the Figure-8 restriction delay.
-    restricted_cycle: int = -1
-    restriction_lifted_cycle: int = -1
+    restricted_cycle = -1
+    restriction_lifted_cycle = -1
 
     # Branch state.
-    pred_taken: bool = False
-    pred_target: int = 0
-    bhb_snapshot: int = 0
-    resolved: bool = False
-    actual_taken: bool = False
-    actual_target: int = 0
-    mispredicted: bool = False
+    pred_taken = False
+    pred_target = 0
+    bhb_snapshot = 0
+    resolved = False
+    actual_taken = False
+    actual_target = 0
+    mispredicted = False
 
     # Memory state.
     addr: Optional[int] = None          # tagged effective address
-    addr_ready_cycle: int = -1
-    mem_issued: bool = False
+    addr_ready_cycle = -1
+    mem_issued = False
     response: Optional[MemResponse] = None
     forwarded_from: Optional[int] = None
     bypassed_store_seqs: FrozenSet[int] = frozenset()
-    used_stale_data: bool = False
+    used_stale_data = False
     #: The load's value is transient (loosenet forward / stale LFB data)
     #: and must not commit until the full check verifies or machine-clears.
-    verify_pending: bool = False
+    verify_pending = False
     store_value: Optional[int] = None
+    #: A load's first cycle at which an LSQ visit may change its state
+    #: (``LoadStoreQueues._load_wake``); derived, never checkpointed.
+    lsq_wake = NO_EVENT
 
     # SpecASan state (§3.3.2, §3.4).
-    tcs: TagCheckStatus = TagCheckStatus.INIT
+    tcs = TagCheckStatus.INIT
     ssa: Optional[bool] = None          # ROB safe-speculative-access bit
-    unsafe_dependent: bool = False      # marked unsafe by the ROB broadcast
-    tag_fault_pending: bool = False
+    unsafe_dependent = False            # marked unsafe by the ROB broadcast
+    tag_fault_pending = False
 
     # STT taint: sequence numbers of the speculative loads this value
     # (transitively) derives from.
@@ -109,33 +114,49 @@ class DynInstr:
     #: Whether this instruction was speculative when its result appeared
     #: (STT taints such loads; untaint lags the visibility point by the
     #: broadcast latency).
-    speculative_at_complete: bool = False
+    speculative_at_complete = False
 
     # Detector-level (oracle) taint used by the attack harness: does this
     # value derive from the planted secret?  Independent of any defense.
-    secret_tainted: bool = False
+    secret_tainted = False
 
     # Stats plumbing.
-    was_restricted: bool = False
+    was_restricted = False
 
-    def __post_init__(self) -> None:
+    #: Producers this instruction's issue still waits on: set at dispatch,
+    #: pruned by writeback as they complete (empty = operands ready).
+    issue_waits: Sequence["DynInstr"] = ()
+
+    def __init__(self, seq: int, static: Instruction, pc: int,
+                 fetch_cycle: int = -1):
+        self.seq = seq
+        self.static = static
+        self.pc = pc
+        self.fetch_cycle = fetch_cycle
+        #: Renamed sources: arch reg -> producing DynInstr (None = the ARF).
+        self.producers: Dict[int, Optional["DynInstr"]] = {}
+        #: IQ entries whose ``issue_waits`` hold this instruction (derived
+        #: at dispatch and on restore, never checkpointed).
+        self.consumers: List["DynInstr"] = []
         # The static classification, copied for the hot paths.
-        static = self.static
         self.klass = static.klass
         self.is_load = static.is_load
         self.is_store = static.is_store
         self.is_memory = static.is_memory
         self.is_branch = static.is_branch
         self.needs_issue = static.needs_issue
-        #: Producers this instruction's issue may still wait on: set at
-        #: rename, pruned as they complete (empty = operands ready).
-        self.issue_waits: List["DynInstr"] = []
-
-    # -- convenience -----------------------------------------------------------
 
     @property
-    def completed(self) -> bool:
-        return self.state in _DONE
+    def state(self) -> InstrState:
+        """Lifecycle stage; setting it also sets :attr:`completed`."""
+        return self._state
+
+    @state.setter
+    def state(self, value: InstrState) -> None:
+        self._state = value
+        self.completed = value is _COMPLETED or value is _COMMITTED
+
+    # -- convenience -----------------------------------------------------------
 
     def producer_values_ready(self) -> bool:
         """All renamed sources have produced their values."""
@@ -204,12 +225,12 @@ class DynInstr:
         """Rebuild from :meth:`state_dict`; ``producers`` stays empty until
         the caller rewires seq references into object references."""
         dyn = cls(seq=state["seq"], static=static, pc=state["pc"],
-                  state=InstrState(state["state"]),
-                  squashed=state["squashed"])
+                  fetch_cycle=state["fetch_cycle"])
+        dyn.state = InstrState(state["state"])
+        dyn.squashed = state["squashed"]
         dyn.result = state["result"]
         dyn.issue_cycle = state["issue_cycle"]
         dyn.complete_cycle = state["complete_cycle"]
-        dyn.fetch_cycle = state["fetch_cycle"]
         dyn.dispatch_cycle = state["dispatch_cycle"]
         dyn.commit_cycle = state["commit_cycle"]
         dyn.squash_cycle = state["squash_cycle"]

@@ -30,14 +30,25 @@ DEFAULT_PORTS: Dict[InstrClass, int] = {
 
 
 class ExecPorts:
-    """Per-cycle issue-port bookkeeping."""
+    """Per-cycle issue-port bookkeeping.
+
+    The tables inside are keyed by the class's value string
+    (``Instruction.klass_key``), which hashes in C; the issue stage claims
+    through :meth:`claim`.  The public API takes :class:`InstrClass`.
+    """
 
     def __init__(self, ports: Dict[InstrClass, int] = None):
         self.ports = dict(DEFAULT_PORTS if ports is None else ports)
-        self._used: Dict[InstrClass, int] = {}
-        #: Cumulative per-class issue counts (contention-channel observable).
-        self.issue_counts: Dict[InstrClass, int] = {k: 0 for k in self.ports}
+        self._capacity: Dict[str, int] = {k.value: v
+                                          for k, v in self.ports.items()}
+        self._used: Dict[str, int] = {}
+        self._issued: Dict[str, int] = {k.value: 0 for k in self.ports}
         self.contention_stalls = 0
+
+    @property
+    def issue_counts(self) -> Dict[InstrClass, int]:
+        """Cumulative issue counts per class (contention observable)."""
+        return {InstrClass(k): v for k, v in self._issued.items()}
 
     def new_cycle(self) -> None:
         """Reset per-cycle occupancy."""
@@ -45,27 +56,30 @@ class ExecPorts:
 
     def try_claim(self, klass: InstrClass) -> bool:
         """Claim one port of ``klass`` this cycle; False when contended."""
-        used = self._used.get(klass, 0)
-        if used >= self.ports.get(klass, 1):
+        return self.claim(klass.value)
+
+    def claim(self, key: str) -> bool:
+        """:meth:`try_claim` for the class whose value string is ``key``."""
+        used = self._used.get(key, 0)
+        if used >= self._capacity.get(key, 1):
             self.contention_stalls += 1
             return False
-        self._used[klass] = used + 1
-        self.issue_counts[klass] = self.issue_counts.get(klass, 0) + 1
+        self._used[key] = used + 1
+        self._issued[key] = self._issued.get(key, 0) + 1
         return True
 
     def occupancy(self, klass: InstrClass) -> int:
         """Ports of ``klass`` in use this cycle (the contention observable)."""
-        return self._used.get(klass, 0)
+        return self._used.get(klass.value, 0)
 
     def state_dict(self) -> dict:
         # ``_used`` is per-cycle scratch (reset by ``new_cycle``);
         # checkpoints are taken at cycle boundaries, so it is not state.
-        return {"issue_counts": {k.value: v
-                                 for k, v in self.issue_counts.items()},
+        return {"issue_counts": dict(self._issued),
                 "contention_stalls": self.contention_stalls}
 
     def load_state_dict(self, state: dict) -> None:
         self._used = {}
-        self.issue_counts = {InstrClass(k): int(v)
-                             for k, v in state["issue_counts"].items()}
+        self._issued = {InstrClass(k).value: int(v)
+                        for k, v in state["issue_counts"].items()}
         self.contention_stalls = int(state["contention_stalls"])

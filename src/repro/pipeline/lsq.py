@@ -25,13 +25,12 @@ from typing import List, Optional, TYPE_CHECKING
 from repro.isa.instructions import Opcode
 from repro.memory.request import AccessKind, MemRequest
 from repro.mte.tags import key_of, strip_tag, with_key
-from repro.pipeline.dyninstr import DynInstr, TagCheckStatus
+from repro.pipeline.dyninstr import DynInstr, NO_EVENT, TagCheckStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import Core
 
-#: "No wake cycle is known": later than any cycle a run reaches.
-NO_EVENT = 1 << 62
+_WAIT = TagCheckStatus.WAIT
 
 
 class LoadStoreQueues:
@@ -78,10 +77,11 @@ class LoadStoreQueues:
             (l, s, c) for l, s, c in self._partial_pending if l.seq < seq]
 
     def remove_committed(self, dyn: DynInstr) -> None:
-        if dyn.is_load and dyn in self.lq:
-            self.lq.remove(dyn)
-        elif dyn.is_store and dyn in self.sq:
-            self.sq.remove(dyn)
+        """Commit is in order and the queues are in seq order, so a
+        committing load or store is its queue's oldest entry."""
+        queue = self.lq if dyn.is_load else self.sq if dyn.is_store else None
+        if queue and queue[0] is dyn:
+            queue.pop(0)
 
     # -- checkpointing ------------------------------------------------------------
 
@@ -100,6 +100,8 @@ class LoadStoreQueues:
     def load_state_dict(self, state: dict, instrs: dict) -> None:
         """Restore queue membership; ``instrs`` maps seq -> DynInstr."""
         self.lq = [instrs[seq] for seq in state["lq"]]
+        for load in self.lq:
+            load.lsq_wake = 0  # derived, not stored: visit each load once
         self.sq = [instrs[seq] for seq in state["sq"]]
         self._stale_pending = [instrs[seq]
                                for seq in state["stale_pending"]]
@@ -122,11 +124,9 @@ class LoadStoreQueues:
         change any state, given that nothing else changes first;
         :data:`NO_EVENT` when no entry waits on a known cycle.
 
-        The wake cycles: a stale forward's and a pending load's data ready
-        cycle, a partial forward's verify cycle, a store's or load's
-        address ready cycle, a pending load's tag-outcome cycle and the
-        start of its stale-LFB window.  A load that would try to start
-        (forward, speculate past stores or access memory) is due now.
+        The wake cycles: a stale forward's data ready cycle, a partial
+        forward's verify cycle, a store's address ready cycle and each
+        load's ``lsq_wake`` (:meth:`_load_wake`).
         """
         wake = NO_EVENT
         for dyn in self._stale_pending:
@@ -146,39 +146,58 @@ class LoadStoreQueues:
             if store.addr_ready_cycle <= cycle:
                 return cycle
             wake = min(wake, store.addr_ready_cycle)
-        restricted = self.core.policy.restricted_seqs
         for load in self.lq:
-            if load.squashed or load.completed or load.addr is None:
-                continue
-            if load.addr_ready_cycle > cycle:
-                wake = min(wake, load.addr_ready_cycle)
-                continue
-            response = load.response
-            if response is None:
-                if load.forwarded_from is None:
-                    return cycle
-                continue
-            if (load.tcs is TagCheckStatus.WAIT
-                    and response.tag_ok is not None):
-                if response.tag_known_cycle <= cycle:
-                    return cycle
-                wake = min(wake, response.tag_known_cycle)
-            ready = response.ready_cycle
-            if cycle < ready:
-                if (response.stale_data is not None
-                        and not load.used_stale_data
-                        and response.stale_ready_cycle < ready):
-                    if response.stale_ready_cycle <= cycle:
-                        return cycle
-                    wake = min(wake, response.stale_ready_cycle)
-                wake = min(wake, ready)
-            elif response.data_withheld:
-                # Withheld and already restricted: each tick repeats a
-                # restriction that is already recorded.
-                if not (load.was_restricted and load.seq in restricted):
-                    return cycle
-            elif not load.used_stale_data:
+            if load.lsq_wake < wake:
+                wake = load.lsq_wake
+        return max(wake, cycle)
+
+    def _load_wake(self, load: DynInstr, cycle: int) -> int:
+        """The first cycle from ``cycle`` on at which visiting ``load`` in
+        :meth:`_process_loads` may change any state, given that nothing
+        else changes first; :data:`NO_EVENT` when none is known.
+
+        The one rule for when a load is due.  Waking early is harmless (the
+        visit finds nothing to do), so a load whose next step depends on
+        other entries is due every cycle: one trying to start (forward,
+        speculate past stores or access memory), one holding bypass data or
+        ready data the policy holds back, one inside its stale-LFB window
+        and one with a tag outcome to report.  Everything it reads changes
+        only in the load's own visit, in ``Core._execute`` (which sets
+        ``lsq_wake`` itself), or in the direction that makes the load due
+        later: a completion being scheduled, ``tcs`` leaving WAIT, the
+        restriction records growing.
+        """
+        if (load.squashed or load.complete_cycle >= 0
+                or load.addr is None):
+            return NO_EVENT  # squashed, done, or not yet executed
+        if load.addr_ready_cycle > cycle:
+            return load.addr_ready_cycle
+        response = load.response
+        if response is None:
+            return NO_EVENT if load.forwarded_from is not None else cycle
+        wake = NO_EVENT
+        if load.tcs is _WAIT and response.tag_ok is not None:
+            if response.tag_known_cycle <= cycle:
                 return cycle
+            wake = response.tag_known_cycle
+        ready = response.ready_cycle
+        if cycle < ready:
+            stale_ready = response.stale_ready_cycle
+            if (response.stale_data is not None and not load.used_stale_data
+                    and stale_ready < ready):
+                if stale_ready <= cycle:
+                    return cycle
+                wake = min(wake, stale_ready)
+            return min(wake, ready)
+        if response.data_withheld:
+            # Withheld and already restricted: each visit would repeat a
+            # restriction that is already recorded, until squash or commit.
+            if (load.was_restricted
+                    and load.seq in self.core.policy.restricted_seqs):
+                return wake
+            return cycle
+        if not load.used_stale_data:
+            return cycle
         return wake
 
     # .. partial-forward (loosenet) verification — the Fallout window ..........
@@ -278,17 +297,19 @@ class LoadStoreQueues:
     # .. loads ...................................................................
 
     def _process_loads(self, cycle: int) -> None:
+        """Visit each load that is due (``lsq_wake``), oldest first, and
+        recompute its wake after the visit."""
         for load in list(self.lq):
-            if load.squashed or load.completed:
+            if load.lsq_wake > cycle:
                 continue
-            if load.addr is None or load.addr_ready_cycle > cycle:
-                continue
-            if load.response is not None:
-                self._advance_pending_load(load, cycle)
-                continue
-            if load.forwarded_from is not None:
-                continue  # forwarding already scheduled
-            self._try_start_load(load, cycle)
+            if not (load.squashed or load.completed or load.addr is None
+                    or load.addr_ready_cycle > cycle):
+                if load.response is not None:
+                    self._advance_pending_load(load, cycle)
+                elif load.forwarded_from is None:
+                    self._try_start_load(load, cycle)
+                # else: forwarding already scheduled
+            load.lsq_wake = self._load_wake(load, cycle + 1)
 
     def _advance_pending_load(self, load: DynInstr, cycle: int) -> None:
         """Drive a load whose memory request is outstanding."""

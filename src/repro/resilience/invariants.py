@@ -10,8 +10,16 @@ validates that the machine's bookkeeping is internally consistent:
   capacity, and every entry is still in the ROB (a squashed load/store left
   behind in an LSQ is exactly the kind of leak that turns into a wrong
   forward later);
+- **lq-wake-bound** — no load's ``lsq_wake`` is later than the cycle
+  ``LoadStoreQueues._load_wake`` gives from the next cycle on (the LSQ
+  skips a load until its wake, so a late wake would skip a visit that
+  changes state);
 - **iq-age-order** — IQ entries strictly increase in seq and none is
   squashed (issue walks the IQ as oldest-first without sorting it);
+- **iq-ready-set** — the ready list issue walks is exactly the IQ entries
+  with no outstanding producer, in seq order, and every entry still
+  waiting is registered as a consumer of each producer it waits on (none
+  of which has completed), as often as it waits on it;
 - **unresolved-branch-order** — the unresolved-branch table strictly
   increases in seq (``is_speculative`` reads only its first key), every
   entry is in the ROB or the fetch queue, and the seq index ``in_flight``
@@ -45,7 +53,9 @@ INVARIANTS = (
     ("rob-commit-order", "rob"),
     ("lq-age-order", "lq"),
     ("sq-age-order", "sq"),
+    ("lq-wake-bound", "lq"),
     ("iq-age-order", "iq"),
+    ("iq-ready-set", "iq"),
     ("unresolved-branch-order", "branches"),
     ("mshr-leak-freedom", "mshr"),
     ("lfb-leak-freedom", "lfb"),
@@ -86,7 +96,9 @@ class InvariantChecker:
         self.checks_run += 1
         problem = (self._check_rob(core)
                    or self._check_lsq(core)
+                   or self._check_lq_wakes(core)
                    or self._check_iq(core)
+                   or self._check_ready(core)
                    or self._check_branches(core)
                    or self._check_mshrs(core)
                    or self._check_lfb(core))
@@ -153,6 +165,16 @@ class InvariantChecker:
                             f"but not in the ROB (leaked entry)")
         return None
 
+    def _check_lq_wakes(self, core):
+        lsq = core.lsq
+        for load in lsq.lq:
+            due = lsq._load_wake(load, core.cycle + 1)
+            if load.lsq_wake > due:
+                return ("lq-wake-bound", "lq",
+                        f"load #{load.seq} sleeps until cycle "
+                        f"{load.lsq_wake} but is due at {due}")
+        return None
+
     def _check_iq(self, core):
         last_seq = -1
         for dyn in core.iq:
@@ -163,6 +185,29 @@ class InvariantChecker:
             if dyn.squashed:
                 return ("iq-age-order", "iq",
                         f"squashed #{dyn.seq} still occupies the IQ")
+        return None
+
+    def _check_ready(self, core):
+        expected = [d for d in core.iq if not d.issue_waits]
+        if (len(core._ready) != len(expected)
+                or any(a is not b for a, b in zip(core._ready, expected))):
+            return ("iq-ready-set", "iq",
+                    f"ready list {[d.seq for d in core._ready]} is not the "
+                    f"IQ entries with their operands "
+                    f"{[d.seq for d in expected]}")
+        for dyn in core.iq:
+            for producer in dyn.issue_waits:
+                if producer.completed:
+                    return ("iq-ready-set", "iq",
+                            f"#{dyn.seq} still waits on completed "
+                            f"#{producer.seq}")
+                if (producer.consumers.count(dyn)
+                        != dyn.issue_waits.count(producer)):
+                    return ("iq-ready-set", "iq",
+                            f"#{dyn.seq} waits on #{producer.seq} "
+                            f"{dyn.issue_waits.count(producer)} time(s) but "
+                            f"is registered as its consumer "
+                            f"{producer.consumers.count(dyn)} time(s)")
         return None
 
     def _check_branches(self, core):

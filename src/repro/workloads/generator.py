@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -116,22 +118,12 @@ def generate(profile: WorkloadProfile, seed: int = 0,
     # pointers so every hop's key matches the chase array's lock.
     order = list(range(chase_nodes))
     rng.shuffle(order)
-    chain = bytearray(chase_nodes * 8)
-    for position in range(chase_nodes):
-        src = order[position]
-        dst = order[(position + 1) % chase_nodes]
-        pointer = with_key(chase.address + dst * 8, chase.tag, mte.tag_bits)
-        chain[src * 8:src * 8 + 8] = struct.pack("<Q", pointer)
+    chain = _chain(order, with_key(chase.address, chase.tag, mte.tag_bits))
 
     hot_order = list(range(hot_nodes))
     rng.shuffle(hot_order)
-    hot_chain = bytearray(hot_nodes * 8)
-    for position in range(hot_nodes):
-        src = hot_order[position]
-        dst = hot_order[(position + 1) % hot_nodes]
-        pointer = with_key(hot_chase.address + dst * 8, hot_chase.tag,
-                           mte.tag_bits)
-        hot_chain[src * 8:src * 8 + 8] = struct.pack("<Q", pointer)
+    hot_chain = _chain(hot_order, with_key(hot_chase.address, hot_chase.tag,
+                                           mte.tag_bits))
 
     # Branch-decision table: `branch_entropy` of the bytes are coin flips,
     # the rest are strongly biased (always below the threshold).
@@ -219,18 +211,24 @@ def generate(profile: WorkloadProfile, seed: int = 0,
     # branch entropy — loaded-data branches (`lbranch`) read these, so their
     # predictability tracks the profile; the rest of each word scatters the
     # dependent (`dload`) accesses across the working set.
-    stream_data = bytearray(stream.size)
-    for offset in range(0, stream.size, 8):
-        word = rng.getrandbits(56) << 8
-        low = (128 + rng.randrange(128) if rng.random() < profile.branch_entropy * 0.5
-               else rng.randrange(128))
-        stream_data[offset:offset + 8] = struct.pack("<Q", word | low)
+    assert stream.size % 8 == 0, "the stream segment holds whole words"
+    getrandbits, rand01 = rng.getrandbits, rng.random
+    randrange = rng.randrange
+    high_fraction = profile.branch_entropy * 0.5
+    stream_words = array("Q")
+    append = stream_words.append
+    for _ in range(stream.size // 8):
+        word = getrandbits(56) << 8
+        low = (128 + randrange(128) if rand01() < high_fraction
+               else randrange(128))
+        append(word | low)
     program.add_segment(DataSegment(
-        "stream", stream.address, bytes(stream_data), tag=stream.tag))
+        "stream", stream.address, _little_endian(stream_words),
+        tag=stream.tag))
     program.add_segment(DataSegment(
-        "chase", chase.address, bytes(chain), tag=chase.tag))
+        "chase", chase.address, chain, tag=chase.tag))
     program.add_segment(DataSegment(
-        "hot_chase", hot_chase.address, bytes(hot_chain), tag=hot_chase.tag))
+        "hot_chase", hot_chase.address, hot_chain, tag=hot_chase.tag))
     program.add_segment(DataSegment(
         "decisions", decision_base, bytes(decisions)))
     table = b"".join(struct.pack("<Q", program.address_of(label))
@@ -244,6 +242,24 @@ def generate(profile: WorkloadProfile, seed: int = 0,
     return GeneratedWorkload(
         name=profile.name, program=program, iterations=iterations,
         body_items=len(body), seed=seed)
+
+
+def _little_endian(words: array) -> bytes:
+    """The 64-bit ``words`` as little-endian bytes (``struct`` ``<Q``)."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _chain(order: List[int], base: int) -> bytes:
+    """A cyclic pointer chain over 8-byte nodes at the tagged pointer
+    ``base``: node ``order[i]`` points at node ``order[i + 1]`` (the last
+    at the first).  Addresses stay below the key byte, so
+    ``with_key(address + 8 * n, key) == with_key(address, key) + 8 * n``."""
+    words = array("Q", bytes(8 * len(order)))
+    for src, dst in zip(order, order[1:] + order[:1]):
+        words[src] = base + 8 * dst
+    return _little_endian(words)
 
 
 def _floor_pow2(value: int) -> int:

@@ -23,6 +23,15 @@ from repro.workloads import build_parsec, build_spec
 
 ALL_DEFENSES = list(DefenseKind)
 SPEC_PROFILES = ["505.mcf_r", "531.deepsjeng_r"]
+#: (workload, defense, pause cycle): every defense on each profile at
+#: cycle 140, plus more pause points under SpecASan and STT, so that the
+#: state a restore rebuilds rather than reads (the ready list, consumer
+#: registrations, load wakes) is rebuilt with the IQ and LQ busy at several
+#: different moments.
+SPEC_CASES = ([(w, d, 140) for w in SPEC_PROFILES for d in ALL_DEFENSES]
+              + [("505.mcf_r", d, pause)
+                 for d in (DefenseKind.SPECASAN, DefenseKind.STT)
+                 for pause in (60, 333, 901)])
 
 
 def blob(system) -> str:
@@ -38,20 +47,22 @@ def spec_program(name, seed=3, target=600):
 class TestByteIdenticalContinuation:
     """Straight-through vs checkpoint-at-pause-then-restore, per defense."""
 
-    @pytest.mark.parametrize("defense", ALL_DEFENSES,
-                             ids=[d.value for d in ALL_DEFENSES])
-    @pytest.mark.parametrize("workload", SPEC_PROFILES)
-    def test_spec_profiles(self, tmp_path, defense, workload):
+    @pytest.mark.parametrize(
+        "workload,defense,pause", SPEC_CASES,
+        ids=[f"{w}-{d.value}" + ("" if pause == 140 else f"@{pause}")
+             for w, d, pause in SPEC_CASES])
+    def test_spec_profiles(self, tmp_path, workload, defense, pause):
         config = CORTEX_A76.with_defense(defense)
         program = spec_program(workload)
 
         reference = build_system(config)
         reference.prepare(program).run()
         reference_blob = blob(reference)
+        assert reference.core.cycle > pause  # the pause lands mid-run
 
         manager = CheckpointManager(str(tmp_path / "gen"))
         victim = build_system(config)
-        victim.prepare(program).run(until_cycle=140)
+        victim.prepare(program).run(until_cycle=pause)
         manager.save(victim, program)
         del victim  # the kill: nothing of the live system survives
 

@@ -7,7 +7,7 @@ import pytest
 from repro import build_system, CORTEX_A76, DefenseKind
 from repro.errors import InvariantViolation
 from repro.isa import assemble
-from repro.pipeline.dyninstr import InstrState
+from repro.pipeline.dyninstr import InstrState, NO_EVENT
 from repro.resilience import (core_snapshot, GracefulDegradation, INVARIANTS,
                               InvariantChecker, summarize)
 
@@ -37,6 +37,21 @@ def _busy_core():
     core.run(until_cycle=120)
     assert len(core.iq) >= 2 and len(core._unresolved_branches) >= 2
     return core
+
+
+def _core_paused_when(condition):
+    """A core paused at the first cycle from 100 on at which
+    ``condition(core)`` holds."""
+    _, core = _prepared_core()
+    for cycle in range(100, 400):
+        core.run(until_cycle=cycle)
+        if condition(core):
+            return core
+    raise AssertionError("the condition never held")
+
+
+def _due(core, load):
+    return core.lsq._load_wake(load, core.cycle + 1)
 
 
 class TestCleanRuns:
@@ -117,6 +132,46 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation, match="squashed") as excinfo:
             checker.check(core)
         assert excinfo.value.invariant == "iq-age-order"
+
+    def test_ready_list_missing_an_entry_detected(self):
+        core = _core_paused_when(lambda core: core._ready)
+        checker = InvariantChecker().attach(core)
+        checker.check(core)  # the real ready list is consistent
+        core._ready.pop()  # an entry with its operands that issue skips
+        with pytest.raises(InvariantViolation, match="ready list") \
+                as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "iq-ready-set"
+        assert excinfo.value.structure == "iq"
+
+    def test_unregistered_consumer_detected(self):
+        core = _core_paused_when(
+            lambda core: any(d.issue_waits for d in core.iq))
+        checker = InvariantChecker().attach(core)
+        checker.check(core)
+        waiting = next(d for d in core.iq if d.issue_waits)
+        # The producer's completion would no longer wake the entry.
+        waiting.issue_waits[0].consumers.remove(waiting)
+        with pytest.raises(InvariantViolation,
+                           match="registered as its consumer") as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "iq-ready-set"
+
+    def test_load_sleeping_past_its_wake_detected(self):
+        core = _core_paused_when(lambda core: any(
+            _due(core, load) < NO_EVENT for load in core.lsq.lq))
+        checker = InvariantChecker().attach(core)
+        checker.check(core)
+        load = next(load for load in core.lsq.lq
+                    if _due(core, load) < NO_EVENT)
+        load.lsq_wake = 0  # waking early is harmless
+        checker.check(core)
+        load.lsq_wake = _due(core, load) + 1  # a visit would be skipped
+        with pytest.raises(InvariantViolation, match="sleeps until") \
+                as excinfo:
+            checker.check(core)
+        assert excinfo.value.invariant == "lq-wake-bound"
+        assert excinfo.value.structure == "lq"
 
     def test_unresolved_branch_disorder_detected(self):
         core = _busy_core()
@@ -257,6 +312,7 @@ class TestSnapshot:
         names = {name for name, _ in INVARIANTS}
         assert names == {
             "rob-commit-order", "lq-age-order", "sq-age-order",
-            "iq-age-order", "unresolved-branch-order",
+            "lq-wake-bound", "iq-age-order", "iq-ready-set",
+            "unresolved-branch-order",
             "mshr-leak-freedom", "lfb-leak-freedom",
             "tag-storage-integrity", "tag-coherence"}

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import build_system, CORTEX_A76, DefenseKind
-from repro.workloads import WorkloadProfile
+from repro.checkpoint import program_fingerprint
+from repro.workloads import SPEC_BY_NAME, WorkloadProfile, build_parsec
 from repro.workloads.generator import generate
 
 
@@ -27,6 +28,29 @@ class TestDeterminism:
         second = generate(profile, seed=2, target_instructions=1500)
         assert ([i.render() for i in first.program.instructions]
                 != [i.render() for i in second.program.instructions])
+
+
+class TestPinnedPrograms:
+    """Generated programs are pinned byte for byte (instructions and data
+    segments): every simulated result, golden digest and checkpoint
+    fingerprint depends on them, so a faster generator must draw the same
+    random numbers in the same order and lay out the same words."""
+
+    @pytest.mark.parametrize("name,fingerprint", [
+        ("505.mcf_r", "ef4e14f58ffc9290"),
+        ("520.omnetpp_r", "b25d286b3bae08a3"),
+    ])
+    def test_spec_program(self, name, fingerprint):
+        workload = generate(SPEC_BY_NAME[name], seed=0,
+                            target_instructions=10_000,
+                            mte_instrumented=True)
+        assert program_fingerprint(workload.program) == fingerprint
+
+    def test_parsec_thread(self):
+        # The second thread: its own heap base and the shared region.
+        thread = build_parsec("canneal", num_threads=2, seed=1,
+                              target_instructions=400)[1]
+        assert program_fingerprint(thread.program) == "5a25eeb6a153e8f1"
 
 
 class TestStructure:
