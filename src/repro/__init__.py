@@ -24,7 +24,8 @@ scratch:
   attack variants (Spectre v1/v2/v4/v5/BHB, Fallout/RIDL/ZombieLoad, SCC).
 - ``repro.workloads`` -- deterministic synthetic stand-ins for the SPEC
   CPU2017 and PARSEC workloads the paper measures.
-- ``repro.multicore`` -- a 4-core system for the PARSEC experiments.
+- ``repro.system`` -- one memory hierarchy and 1..N cores run in lockstep:
+  one core for the SPEC experiments, four for PARSEC.
 - ``repro.hwcost`` -- an analytical area/power/energy model for Table 3.
 - ``repro.eval`` -- the experiment harness that regenerates every table and
   figure of the paper's evaluation.

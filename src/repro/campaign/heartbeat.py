@@ -2,9 +2,9 @@
 
 A wall-clock timer thread would keep beating while the simulation loop is
 wedged, which is exactly the failure the straggler detector must catch.
-Instead the core's run loop pulses :class:`Heartbeat` every ``interval``
-simulated cycles (the ``core.heartbeat`` hook, mirroring the resilience
-hooks), so a worker that stops making cycle progress goes silent and the
+Instead the run loop pulses :class:`Heartbeat` every ``interval``
+simulated cycles (the ``heartbeat`` hook of a system or a core, mirroring
+the resilience hooks), so a worker that stops making cycle progress goes silent and the
 campaign scheduler reaps it after ``stall_timeout_s``.
 
 The beat itself is a tiny atomic file write; the monitor reads freshness
@@ -25,8 +25,8 @@ from repro.store import atomic_write
 class Heartbeat:
     """Writes liveness records to ``path`` at most every ``min_wall_s``.
 
-    ``interval`` is consumed by the core/multicore run loops (beat every N
-    simulated cycles); ``min_wall_s`` rate-limits the actual filesystem
+    ``interval`` is consumed by the run loop (beat every N simulated
+    cycles); ``min_wall_s`` rate-limits the actual filesystem
     traffic when simulation is fast.
     """
 

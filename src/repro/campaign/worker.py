@@ -35,13 +35,10 @@ from repro.checkpoint import (CheckpointHook, CheckpointManager,
                               write_checkpoint)
 from repro.config import DefenseKind
 from repro.errors import CheckpointError, ReproError
-from repro.multicore import MulticoreSystem
 from repro.store import atomic_write
 from repro.system import build_system
-from repro.workloads import PARSEC_BY_NAME, SPEC_BY_NAME
-from repro.workloads.generator import HEAP_BASE, generate
-from repro.workloads.parsec import (SHARED_BASE, SHARED_SIZE,
-                                    THREAD_HEAP_STRIDE)
+from repro.workloads import build_parsec, SPEC_BY_NAME
+from repro.workloads.generator import generate
 
 #: Worker exit code for a typed, retryable simulation failure.
 EXIT_TYPED_FAILURE = 3
@@ -127,7 +124,8 @@ def _resume(manager: Optional[CheckpointManager], system, programs,
 def _shared_warm_state(cell: CellSpec, reseed: int, programs,
                        plan: CheckpointPlan,
                        stats: Optional[CheckpointStats],
-                       degradations: List[dict], produce):
+                       degradations: List[dict],
+                       heartbeat: Optional[Heartbeat]):
     """The warm hierarchy state for this cell's warm group.
 
     Every defense cell of one (workload, seed) group shares a single
@@ -162,7 +160,13 @@ def _shared_warm_state(cell: CellSpec, reseed: int, programs,
             degradations.append(_degradation("warm", err))
             if stats is not None:
                 stats.corrupt_rejected += 1
-    state, cycle = produce(system_config(warm_cell, reseed))
+    # The producer warms a fresh baseline system, beating the cell's
+    # heartbeat as a local warm-up does.
+    warm_system = build_system(system_config(warm_cell, reseed))
+    warm_system.heartbeat = heartbeat
+    cycle = warm_system.run(programs, warm_runs=cell.warm_runs - 1).cycles
+    warm_system.hierarchy.quiesce()
+    state = warm_system.hierarchy.state_dict()
     nbytes = write_checkpoint(path, {"hierarchy": state},
                               config_hash=warm_fp, program_hash=prog_fp,
                               cycle=cycle)
@@ -173,15 +177,26 @@ def _shared_warm_state(cell: CellSpec, reseed: int, programs,
     return state, "produced"
 
 
-def _run_spec_cell(cell: CellSpec, reseed: int,
-                   heartbeat: Optional[Heartbeat],
-                   plan: CheckpointPlan, timings: dict) -> dict:
-    profile = SPEC_BY_NAME[cell.benchmark]
-    t_mark = time.monotonic()
-    program = generate(
-        profile, seed=cell.seed,
+def _cell_programs(cell: CellSpec):
+    """The cell's workload: one SPEC program, or one program per PARSEC
+    thread.  MTE-enabled defenses run the MTE-instrumented build."""
+    instrumented = cell.defense_kind.uses_specasan
+    if cell.kind == "spec":
+        return generate(SPEC_BY_NAME[cell.benchmark], seed=cell.seed,
+                        target_instructions=cell.target_instructions,
+                        mte_instrumented=instrumented).program
+    return [workload.program for workload in build_parsec(
+        cell.benchmark, num_threads=cell.num_threads, seed=cell.seed,
         target_instructions=cell.target_instructions,
-        mte_instrumented=cell.defense_kind.uses_specasan).program
+        mte_instrumented=instrumented)]
+
+
+def _run_simulation_cell(cell: CellSpec, reseed: int,
+                         heartbeat: Optional[Heartbeat],
+                         plan: CheckpointPlan, timings: dict) -> dict:
+    """Measure a SPEC or PARSEC cell: warm up, run, and dump the stats."""
+    t_mark = time.monotonic()
+    programs = _cell_programs(cell)
     generate_ms = (time.monotonic() - t_mark) * 1000.0
     config = system_config(cell, reseed)
     stats = CheckpointStats() if plan.active else None
@@ -189,39 +204,38 @@ def _run_spec_cell(cell: CellSpec, reseed: int,
                if plan.periodic else None)
     degradations: List[dict] = []
 
-    system = build_system(config)
-    system.checkpoint_stats = stats
+    def fresh_system():
+        system = build_system(config)
+        system.heartbeat = heartbeat
+        system.checkpoint_stats = stats
+        return system
+
+    system = fresh_system()
     t_mark = time.monotonic()
-    resumed, dirty = _resume(manager, system, program, degradations)
+    resumed, dirty = _resume(manager, system, programs, degradations)
     restore_ms = (time.monotonic() - t_mark) * 1000.0
     if dirty:
-        system = build_system(config)
-        system.checkpoint_stats = stats
+        system = fresh_system()
+    origin = "checkpoint"
     t_mark = time.monotonic()
-    if resumed is not None:
-        origin = "checkpoint"
-        core = system.core
-    elif plan.share_warm and cell.warm_runs > 0:
-        core = system.prepare(program)
-        warm_state, origin = _shared_warm_state(
-            cell, reseed, program, plan, stats, degradations,
-            produce=lambda warm_config: _produce_spec_warm(
-                warm_config, program, cell.warm_runs))
-        system.hierarchy.load_state_dict(warm_state)
-    else:
-        for _ in range(cell.warm_runs):
-            warm_core = system.prepare(program)
-            warm_core.heartbeat = heartbeat
-            warm_core.run()
-        core = system.prepare(program)
-        origin = "local" if cell.warm_runs else "cold"
+    if resumed is None:
+        if plan.share_warm and cell.warm_runs > 0:
+            system.prepare(programs)
+            warm_state, origin = _shared_warm_state(
+                cell, reseed, programs, plan, stats, degradations, heartbeat)
+            system.hierarchy.load_state_dict(warm_state)
+        else:
+            for _ in range(cell.warm_runs):
+                system.prepare(programs)
+                system.run_prepared()
+            system.prepare(programs)
+            origin = "local" if cell.warm_runs else "cold"
     warm_ms = (time.monotonic() - t_mark) * 1000.0
-    core.heartbeat = heartbeat
     if manager is not None:
-        core.checkpoint_hook = CheckpointHook(manager, system, program,
-                                              interval=plan.interval)
+        system.checkpoint_hook = CheckpointHook(manager, system, programs,
+                                                interval=plan.interval)
     t_mark = time.monotonic()
-    core.run()
+    system.run_prepared()
     run_ms = (time.monotonic() - t_mark) * 1000.0
     result = system.result()
     if result.fault is not None:
@@ -230,105 +244,9 @@ def _run_spec_cell(cell: CellSpec, reseed: int,
     row = {
         "cycles": result.cycles,
         "instructions": result.instructions,
-        "restricted_fraction": result.stats.restricted_fraction,
-        "ipc": result.ipc,
-        "halted": result.halted,
-        "stats": system.stats_registry().dump(),
-    }
-    timings.update(generate_ms=round(generate_ms, 3),
-                   restore_ms=round(restore_ms, 3),
-                   warm_ms=round(warm_ms, 3), run_ms=round(run_ms, 3))
-    if plan.active:
-        row["warm"] = origin
-        row["degradations"] = degradations
-        if resumed is not None:
-            row["resumed_cycle"] = resumed.cycle
-    return row
-
-
-def _produce_spec_warm(warm_config, program, warm_runs: int):
-    """Warm a fresh baseline system; returns (hierarchy state, cycles)."""
-    warm_system = build_system(warm_config)
-    for _ in range(warm_runs):
-        warm_system.prepare(program).run()
-    warm_system.hierarchy.quiesce()
-    return warm_system.hierarchy.state_dict(), warm_system.core.cycle
-
-
-def _produce_parsec_warm(warm_config, programs, warm_runs: int,
-                         max_cycles: int):
-    warm_system = MulticoreSystem(warm_config)
-    warm_system.run(programs, max_cycles=max_cycles,
-                    warm_runs=warm_runs - 1)
-    warm_system.hierarchy.quiesce()
-    return warm_system.hierarchy.state_dict(), warm_system.result().cycles
-
-
-def _run_parsec_cell(cell: CellSpec, reseed: int,
-                     heartbeat: Optional[Heartbeat],
-                     plan: CheckpointPlan, timings: dict) -> dict:
-    spec = PARSEC_BY_NAME[cell.benchmark]
-    instrumented = cell.defense_kind.uses_specasan
-    t_mark = time.monotonic()
-    programs = [generate(
-        spec.profile, seed=cell.seed + t * 101,
-        target_instructions=cell.target_instructions,
-        heap_base=HEAP_BASE + t * THREAD_HEAP_STRIDE,
-        shared_base=SHARED_BASE, shared_size=SHARED_SIZE,
-        shared_fraction=spec.shared_fraction,
-        shared_store_fraction=spec.shared_store_fraction,
-        mte_instrumented=instrumented).program
-        for t in range(cell.num_threads)]
-    generate_ms = (time.monotonic() - t_mark) * 1000.0
-    config = system_config(cell, reseed)
-    stats = CheckpointStats() if plan.active else None
-    manager = (CheckpointManager(plan.stem, keep=plan.keep, stats=stats)
-               if plan.periodic else None)
-    degradations: List[dict] = []
-
-    system = MulticoreSystem(config)
-    system.heartbeat = heartbeat
-    system.checkpoint_stats = stats
-    t_mark = time.monotonic()
-    resumed, dirty = _resume(manager, system, programs, degradations)
-    restore_ms = (time.monotonic() - t_mark) * 1000.0
-    if dirty:
-        system = MulticoreSystem(config)
-        system.heartbeat = heartbeat
-        system.checkpoint_stats = stats
-    origin = "checkpoint"
-    t_mark = time.monotonic()
-    if resumed is None:
-        if plan.share_warm and cell.warm_runs > 0:
-            system.prepare(programs)
-            warm_state, origin = _shared_warm_state(
-                cell, reseed, programs, plan, stats, degradations,
-                produce=lambda warm_config: _produce_parsec_warm(
-                    warm_config, programs, cell.warm_runs,
-                    config.core.max_cycles))
-            system.hierarchy.load_state_dict(warm_state)
-        else:
-            for _ in range(cell.warm_runs):
-                system.prepare(programs)
-                system.run_prepared(config.core.max_cycles)
-            system.prepare(programs)
-            origin = "local" if cell.warm_runs else "cold"
-    warm_ms = (time.monotonic() - t_mark) * 1000.0
-    if manager is not None:
-        system.checkpoint_hook = CheckpointHook(manager, system, programs,
-                                                interval=plan.interval)
-    t_mark = time.monotonic()
-    system.run_prepared(config.core.max_cycles)
-    run_ms = (time.monotonic() - t_mark) * 1000.0
-    result = system.result()
-    if any(result.faults):
-        raise ReproError(f"{cell.benchmark} faulted under {cell.defense}")
-    row = {
-        "cycles": result.cycles,
-        "instructions": result.instructions,
         "restricted_fraction": result.restricted_fraction,
         "ipc": result.ipc,
-        "halted": True,
+        "halted": result.halted,
         "stats": system.stats_registry().dump(),
     }
     timings.update(generate_ms=round(generate_ms, 3),
@@ -423,11 +341,9 @@ def run_cell(cell: CellSpec, reseed: int = 0,
     """
     plan = checkpointing if checkpointing is not None else CheckpointPlan()
     phases = timings if timings is not None else {}
-    if cell.kind == "spec":
-        return _run_spec_cell(cell, reseed, heartbeat, plan, phases)
     if cell.kind == "repair":
         return _run_repair_cell(cell, reseed, heartbeat, phases)
-    return _run_parsec_cell(cell, reseed, heartbeat, plan, phases)
+    return _run_simulation_cell(cell, reseed, heartbeat, plan, phases)
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,10 @@
 """Durable checkpoint/restore of full simulated-system state.
 
 ``repro.checkpoint`` serializes a paused
-:class:`~repro.system.SimulatedSystem` (or
-:class:`~repro.multicore.system.MulticoreSystem`) — pipeline, memory
-hierarchy, MTE tags, predictors, RNG streams, telemetry — to a versioned,
-checksummed file, and restores it to a byte-identical continuation.
+:class:`~repro.system.SimulatedSystem` of any number of cores — pipelines,
+memory hierarchy, MTE tags, predictors, RNG streams, telemetry — to a
+versioned, checksummed file, and restores it to a byte-identical
+continuation.
 
 Layers:
 

@@ -9,15 +9,16 @@ degradation ladder's middle rungs.  Only when *no* generation restores does
 the manager raise, and the caller's last rung (a straight-through re-run)
 takes over.
 
-The manager is duck-typed over both system shapes:
-:class:`repro.system.SimulatedSystem` (one core) and
-:class:`repro.multicore.system.MulticoreSystem` (core list); both expose
-``state_dict()`` / ``load_state_dict(state, program(s))``.
+The system state has one shape for any number of cores
+(:meth:`repro.system.SimulatedSystem.state_dict`): the hierarchy, the core
+list and, when a profiler is attached, the occupancy histograms.  Each
+becomes one file section, next to a ``meta`` section.
 
-:class:`CheckpointHook` adapts a manager to
-:attr:`repro.pipeline.core.Core.checkpoint_hook`, re-checkpointing every
-``interval`` *simulated* cycles mid-run, the same cadence contract as the
-campaign heartbeat.
+:class:`CheckpointHook` adapts a manager to the ``checkpoint_hook`` of a
+:class:`~repro.system.SimulatedSystem` or a
+:class:`~repro.pipeline.core.Core`, re-checkpointing every ``interval``
+*simulated* cycles mid-run, the same cadence contract as the campaign
+heartbeat.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.checkpoint.format import (
     config_fingerprint,
@@ -89,23 +90,15 @@ class CheckpointManager:
 
     # -- save / restore ------------------------------------------------------
 
-    @staticmethod
-    def _sections_of(state: dict) -> Tuple[dict, int]:
-        """Normalize either system shape into named sections."""
-        multicore = "cores" in state
-        cycle = state["cycle"] if multicore else state["core"]["cycle"]
-        sections = {
-            "meta": {"multicore": multicore, "cycle": cycle},
-            "hierarchy": state["hierarchy"],
-            "cores": state["cores"] if multicore else [state["core"]],
-        }
-        if "occupancy" in state:
-            sections["occupancy"] = state["occupancy"]
-        return sections, cycle
-
     def save(self, system, programs) -> str:
         """Checkpoint ``system`` (paused between cycles) as a new generation."""
-        sections, cycle = self._sections_of(system.state_dict())
+        state = system.state_dict()
+        cores = state["cores"]
+        cycle = max(core["cycle"] for core in cores)
+        # Restore reads the state sections only; ``meta`` keeps the layout
+        # every file of this schema version has.
+        sections = {"meta": {"multicore": len(cores) > 1, "cycle": cycle},
+                    **state}
         generations = self.generations()
         generation = generations[0] + 1 if generations else 0
         path = self.path_for(generation)
@@ -138,8 +131,7 @@ class CheckpointManager:
                 header, sections = read_checkpoint(
                     path, expect_config=expect_config,
                     expect_program=expect_program)
-                state = self._assemble(sections)
-                system.load_state_dict(state, programs)
+                system.load_state_dict(self._assemble(sections), programs)
             except CheckpointError as err:
                 rejected.append(err)
                 self.stats.corrupt_rejected += 1
@@ -155,27 +147,22 @@ class CheckpointManager:
     @staticmethod
     def _assemble(sections: dict) -> dict:
         try:
-            meta = sections["meta"]
-            cores = sections["cores"]
-            hierarchy = sections["hierarchy"]
+            state = {name: sections[name] for name in ("hierarchy", "cores")}
         except KeyError as err:
             raise CheckpointError(f"section {err} absent", section=str(err),
                                   kind="section-corrupt")
-        if meta.get("multicore"):
-            return {"cycle": meta["cycle"], "hierarchy": hierarchy,
-                    "cores": cores}
-        state = {"hierarchy": hierarchy, "core": cores[0]}
         if "occupancy" in sections:
             state["occupancy"] = sections["occupancy"]
         return state
 
 
 class CheckpointHook:
-    """Adapter for :attr:`repro.pipeline.core.Core.checkpoint_hook`.
+    """Adapter for the ``checkpoint_hook`` of a system or a core.
 
-    ``core.run()`` calls :meth:`save` every ``interval`` simulated cycles;
-    the hook re-checkpoints the whole owning system, so a long cell killed
-    mid-run resumes from its latest periodic generation.
+    The run loop (:func:`repro.pipeline.core.run_cores`) calls :meth:`save`
+    every ``interval`` simulated cycles; the hook re-checkpoints the whole
+    owning system, so a long cell killed mid-run resumes from its latest
+    periodic generation.
     """
 
     def __init__(self, manager: CheckpointManager, system, programs,
@@ -187,5 +174,5 @@ class CheckpointHook:
         self.programs = programs
         self.interval = interval
 
-    def save(self, core) -> None:
+    def save(self) -> None:
         self.manager.save(self.system, self.programs)

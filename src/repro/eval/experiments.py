@@ -30,12 +30,8 @@ from repro.attacks.matrix import evaluate_matrix, MatrixCell, render_matrix
 from repro.config import CORTEX_A76, DefenseKind, SystemConfig
 from repro.errors import ReproError
 from repro.eval.metrics import geomean, normalized, percent
-from repro.multicore import MulticoreSystem
 from repro.system import build_system
-from repro.workloads import PARSEC_BY_NAME, parsec_names, SPEC_BY_NAME, spec_names
-from repro.workloads.generator import generate
-from repro.workloads.parsec import SHARED_BASE, SHARED_SIZE, THREAD_HEAP_STRIDE
-from repro.workloads.generator import HEAP_BASE
+from repro.workloads import parsec_names, spec_names
 
 #: The defense bars of Figure 6/7 (plus the implicit unsafe baseline).
 FIG6_DEFENSES = [DefenseKind.FENCE, DefenseKind.STT,
@@ -67,98 +63,49 @@ class ExperimentRow:
         return percent(self.restricted_fraction)
 
 
-def _spec_programs(name: str, target_instructions: int, seed: int = 0):
-    """(plain, mte-instrumented) builds of one SPEC-like workload."""
-    profile = SPEC_BY_NAME[name]
-    plain = generate(profile, seed=seed,
-                     target_instructions=target_instructions).program
-    tagged = generate(profile, seed=seed,
-                      target_instructions=target_instructions,
-                      mte_instrumented=True).program
-    return plain, tagged
+def _run_cells(kind: str, benchmarks: Sequence[str],
+               defenses: Sequence[DefenseKind], **params
+               ) -> List[ExperimentRow]:
+    """The baseline plus ``defenses`` per benchmark, each measured by the
+    campaign's cell function (:func:`repro.campaign.worker.run_cell`) with
+    checkpointing off, joined into rows against the baseline."""
+    # Imported here: the campaign modules import this one.
+    from repro.campaign.cells import CellSpec, rows_from_records
+    from repro.campaign.worker import run_cell
+    cells = [CellSpec(kind=kind, benchmark=name, defense=defense.value,
+                      **params)
+             for name in benchmarks
+             for defense in [DefenseKind.NONE] + list(defenses)]
+    records = {cell.cell_id: {"row": run_cell(cell)} for cell in cells}
+    return rows_from_records(cells, records)
 
 
 def run_spec(benchmarks: Optional[Sequence[str]] = None,
              defenses: Optional[Sequence[DefenseKind]] = None,
              target_instructions: int = 4000,
-             warm_runs: int = 1,
-             config: Optional[SystemConfig] = None) -> List[ExperimentRow]:
+             warm_runs: int = 1) -> List[ExperimentRow]:
     """Run SPEC-like workloads under the baseline plus ``defenses``.
 
     MTE-enabled defenses run the MTE-instrumented build of each benchmark
     (the toolchain analogue of §5.2); everything else runs the plain build.
     Normalization is always against the plain build on the unsafe baseline.
     """
-    benchmarks = list(benchmarks or spec_names())
-    defenses = list(defenses or FIG6_DEFENSES)
-    config = config or CORTEX_A76
-    rows: List[ExperimentRow] = []
-    for name in benchmarks:
-        plain, tagged = _spec_programs(name, target_instructions)
-        baseline = build_system(config.with_defense(DefenseKind.NONE)).run(
-            plain, warm_runs=warm_runs)
-        rows.append(ExperimentRow(name, DefenseKind.NONE, baseline.cycles,
-                                  baseline.cycles,
-                                  baseline.stats.restricted_fraction,
-                                  baseline.ipc))
-        for defense in defenses:
-            program = tagged if defense.uses_specasan else plain
-            result = build_system(config.with_defense(defense)).run(
-                program, warm_runs=warm_runs)
-            if result.fault is not None:
-                raise RuntimeError(
-                    f"{name} faulted under {defense.value}: {result.fault}")
-            rows.append(ExperimentRow(
-                name, defense, result.cycles, baseline.cycles,
-                result.stats.restricted_fraction, result.ipc))
-    return rows
+    return _run_cells("spec", benchmarks or spec_names(),
+                      defenses or FIG6_DEFENSES,
+                      target_instructions=target_instructions,
+                      warm_runs=warm_runs)
 
 
 def run_parsec(benchmarks: Optional[Sequence[str]] = None,
                defenses: Optional[Sequence[DefenseKind]] = None,
                num_threads: int = 4,
                target_instructions: int = 1500,
-               warm_runs: int = 1,
-               config: Optional[SystemConfig] = None) -> List[ExperimentRow]:
-    """Run PARSEC-like workloads on the multicore system (Figure 7)."""
-    benchmarks = list(benchmarks or parsec_names())
-    defenses = list(defenses or FIG6_DEFENSES)
-    config = (config or CORTEX_A76).with_cores(num_threads)
-    rows: List[ExperimentRow] = []
-    for name in benchmarks:
-        spec = PARSEC_BY_NAME[name]
-        plain = [generate(spec.profile, seed=t * 101,
-                          target_instructions=target_instructions,
-                          heap_base=HEAP_BASE + t * THREAD_HEAP_STRIDE,
-                          shared_base=SHARED_BASE, shared_size=SHARED_SIZE,
-                          shared_fraction=spec.shared_fraction,
-                          shared_store_fraction=spec.shared_store_fraction
-                          ).program for t in range(num_threads)]
-        tagged = [generate(spec.profile, seed=t * 101,
-                           target_instructions=target_instructions,
-                           heap_base=HEAP_BASE + t * THREAD_HEAP_STRIDE,
-                           shared_base=SHARED_BASE, shared_size=SHARED_SIZE,
-                           shared_fraction=spec.shared_fraction,
-                           shared_store_fraction=spec.shared_store_fraction,
-                           mte_instrumented=True
-                           ).program for t in range(num_threads)]
-        baseline = MulticoreSystem(config.with_defense(DefenseKind.NONE)).run(
-            plain, warm_runs=warm_runs)
-        committed = baseline.instructions
-        rows.append(ExperimentRow(name, DefenseKind.NONE, baseline.cycles,
-                                  baseline.cycles,
-                                  baseline.restricted_fraction,
-                                  baseline.ipc))
-        for defense in defenses:
-            programs = tagged if defense.uses_specasan else plain
-            result = MulticoreSystem(config.with_defense(defense)).run(
-                programs, warm_runs=warm_runs)
-            if any(result.faults):
-                raise RuntimeError(f"{name} faulted under {defense.value}")
-            rows.append(ExperimentRow(
-                name, defense, result.cycles, baseline.cycles,
-                result.restricted_fraction, result.ipc))
-    return rows
+               warm_runs: int = 1) -> List[ExperimentRow]:
+    """Run PARSEC-like workloads, one thread per core (Figure 7)."""
+    return _run_cells("parsec", benchmarks or parsec_names(),
+                      defenses or FIG6_DEFENSES, num_threads=num_threads,
+                      target_instructions=target_instructions,
+                      warm_runs=warm_runs)
 
 
 # ----------------------------------------------------------------------

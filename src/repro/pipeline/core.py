@@ -144,7 +144,7 @@ class Core:
         #: and the campaign straggler detector can reap the worker.
         self.heartbeat = None
         #: Periodic checkpoint hook: any object with an ``interval`` (cycles)
-        #: and a ``save(core)`` method, called every ``interval`` simulated
+        #: and a ``save()`` method, called every ``interval`` simulated
         #: cycles by run() (see :class:`repro.checkpoint.manager.CheckpointHook`).
         self.checkpoint_hook = None
 
@@ -197,65 +197,11 @@ class Core:
         is the checkpoint/restore seam — callers checkpoint at the pause,
         and a restored core resumes through the same loop.
 
-        When resilience hooks are attached, each cycle additionally drives
-        the fault injector, and the invariant checker runs at its configured
-        interval; the livelock watchdog is fed from the commit stage.
-
-        Cycles in which no stage can change any state are not ticked: after
-        a tick, :meth:`_next_event_cycle` finds the first cycle that may do
-        work and the loop jumps to the cycle before it.  The jump never
-        passes ``until_cycle``, ``max_cycles``, the deadlock check or an
-        interval observer's next firing, and is off while a fault injector
-        or an occupancy profiler is attached, so every observable result is
-        that of ticking each cycle.
+        This is :func:`run_cores` over this one core, with its own
+        ``heartbeat`` and ``checkpoint_hook``.
         """
-        if max_cycles is None:
-            max_cycles = self.config.core.max_cycles
-        threshold = self.config.core.deadlock_threshold
-        while not self.halted and self.cycle < max_cycles:
-            if until_cycle is not None and self.cycle >= until_cycle:
-                return  # paused, resumable
-            if self.fault_injector is not None:
-                self.fault_injector.tick(self)
-            self.tick()
-            checker = self.invariant_checker
-            if checker is not None and self.cycle % checker.interval == 0:
-                checker.check(self)
-            heartbeat = self.heartbeat
-            if heartbeat is not None and self.cycle % heartbeat.interval == 0:
-                heartbeat.beat(self.cycle)
-            hook = self.checkpoint_hook
-            if hook is not None and self.cycle % hook.interval == 0:
-                hook.save(self)
-            if self.cycle - self._last_commit_cycle > threshold:
-                from repro.resilience.snapshot import core_snapshot, summarize
-                snapshot = core_snapshot(self, restorable=True)
-                raise DeadlockError(self.cycle - self._last_commit_cycle,
-                                    summarize(snapshot), snapshot=snapshot)
-            if (self.fault_injector is None and self.occupancy is None
-                    and not self.halted):
-                wake = self._next_event_cycle()
-                if wake > self.cycle + 1:
-                    self._skip_to(min(wake - 1, max_cycles,
-                                      self._last_commit_cycle + threshold,
-                                      NO_EVENT if until_cycle is None
-                                      else until_cycle))
-        if not self.halted and self.cycle >= max_cycles:
-            raise SimulationError(
-                f"program did not halt within {max_cycles} cycles")
-
-    def _skip_to(self, cycle: int) -> None:
-        """Stand at ``cycle`` as if every cycle up to it had been ticked
-        idle, stopping short of the next firing of each interval observer."""
-        for observer in (self.invariant_checker, self.heartbeat,
-                         self.checkpoint_hook):
-            if observer is not None:
-                interval = observer.interval
-                cycle = min(cycle, (self.cycle // interval + 1) * interval - 1)
-        if cycle > self.cycle:
-            self.cycle = cycle
-            self.stats.cycles = cycle
-            self.ports.new_cycle()
+        run_cores([self], max_cycles, until_cycle, self.heartbeat,
+                  self.checkpoint_hook)
 
     def _next_event_cycle(self) -> int:
         """The first cycle after this one whose tick may change any state
@@ -1215,3 +1161,90 @@ class Core:
         self.policy.load_state_dict(state["policy"])
         self.secret_ranges = [(lo, hi) for lo, hi in state["secret_ranges"]]
         self.leak_log = [dict(entry) for entry in state["leak_log"]]
+
+
+def run_cores(cores: List[Core], max_cycles: Optional[int] = None,
+              until_cycle: Optional[int] = None, heartbeat=None,
+              checkpoint_hook=None) -> None:
+    """The cycle loop: tick ``cores`` in lockstep until every one halts.
+
+    Each cycle ticks every live core in core-id order (its fault injector
+    first, its invariant checker after), then pulses ``heartbeat`` and
+    ``checkpoint_hook`` (each every ``interval`` cycles) and checks each
+    live core for a deadlock.  A halted core is never ticked again, so its
+    ``cycle`` stays at its halt cycle.  ``max_cycles`` defaults to the
+    configured budget (:attr:`~repro.config.CoreConfig.max_cycles`);
+    exceeding it raises :class:`SimulationError`.  ``until_cycle`` pauses
+    between cycles without raising (see :meth:`Core.run`).
+
+    Cycles in which no core can change any state are not ticked: after a
+    cycle, the smallest :meth:`Core._next_event_cycle` over the live cores
+    is the first cycle that may do work, and the loop jumps to the cycle
+    before it.  Cores interact only through the shared hierarchy, which
+    changes only when a core ticks, and every wake is computed after all
+    cores have ticked, so the minimum over cores is as exact as one core's
+    wake.  The jump never passes ``until_cycle``, ``max_cycles``, a
+    core's deadlock check or an interval observer's next firing, and is
+    off while a fault injector or an occupancy profiler is attached, so
+    every observable result is that of ticking each cycle.
+    """
+    config = cores[0].config.core
+    if max_cycles is None:
+        max_cycles = config.max_cycles
+    threshold = config.deadlock_threshold
+    stop = NO_EVENT if until_cycle is None else until_cycle
+    skip = all(core.fault_injector is None and core.occupancy is None
+               for core in cores)
+    observers = [observer for observer in
+                 [heartbeat, checkpoint_hook]
+                 + [core.invariant_checker for core in cores]
+                 if observer is not None]
+    live = [core for core in cores if not core.halted]
+    while live:
+        cycle = live[0].cycle
+        if cycle >= max_cycles:
+            raise SimulationError(
+                f"program did not halt within {max_cycles} cycles")
+        if cycle >= stop:
+            return  # paused, resumable
+        for core in live:
+            if core.fault_injector is not None:
+                core.fault_injector.tick(core)
+            core.tick()
+            checker = core.invariant_checker
+            if checker is not None and core.cycle % checker.interval == 0:
+                checker.check(core)
+        cycle += 1
+        if heartbeat is not None and cycle % heartbeat.interval == 0:
+            heartbeat.beat(cycle)
+        if (checkpoint_hook is not None
+                and cycle % checkpoint_hook.interval == 0):
+            checkpoint_hook.save()
+        for core in live:
+            if cycle - core._last_commit_cycle > threshold:
+                from repro.resilience.snapshot import core_snapshot, summarize
+                snapshot = core_snapshot(core, restorable=True)
+                raise DeadlockError(cycle - core._last_commit_cycle,
+                                    summarize(snapshot), snapshot=snapshot)
+        live = [core for core in live if not core.halted]
+        if not (skip and live):
+            continue
+        busy = cycle + 1
+        wake = NO_EVENT
+        for core in live:
+            wake = min(wake, core._next_event_cycle())
+            if wake <= busy:
+                break
+        if wake <= busy:
+            continue
+        target = min(wake - 1, max_cycles, stop)
+        for core in live:
+            target = min(target, core._last_commit_cycle + threshold)
+        for observer in observers:
+            interval = observer.interval
+            target = min(target, (cycle // interval + 1) * interval - 1)
+        if target > cycle:
+            for core in live:
+                core.cycle = target
+                core.stats.cycles = target
+                core.ports.new_cycle()

@@ -3,8 +3,9 @@
 Seven profiles, one per benchmark the paper runs on the 4-core system
 (§5.1 excludes 6 of 13).  Each thread runs the same body over a private
 heap slice plus a fraction of traffic directed at a shared, coherently-
-maintained region; shared *stores* generate real invalidation traffic on
-:class:`repro.multicore.MulticoreSystem`.
+maintained region; shared *stores* generate real invalidation traffic
+when the threads run on the cores of one
+:class:`repro.system.SimulatedSystem`.
 """
 
 from __future__ import annotations
@@ -87,12 +88,15 @@ def parsec_names() -> List[str]:
 
 def build_parsec(name: str, num_threads: int = 4, seed: int = 0,
                  target_instructions: int = 8_000,
+                 mte_instrumented: bool = False,
                  ) -> List[GeneratedWorkload]:
     """Generate one program per thread for the named PARSEC workload.
 
     ``target_instructions`` is per thread.  Threads get disjoint private
     heaps and a common shared region (tag 1); the seed staggers their
     shared-region cursors so invalidations really interleave.
+    ``mte_instrumented`` selects the MTE-instrumented build, as
+    :func:`~repro.workloads.generator.generate` does.
     """
     spec = PARSEC_BY_NAME[name]
     return [
@@ -101,6 +105,7 @@ def build_parsec(name: str, num_threads: int = 4, seed: int = 0,
                  heap_base=HEAP_BASE + thread * THREAD_HEAP_STRIDE,
                  shared_base=SHARED_BASE, shared_size=SHARED_SIZE,
                  shared_fraction=spec.shared_fraction,
-                 shared_store_fraction=spec.shared_store_fraction)
+                 shared_store_fraction=spec.shared_store_fraction,
+                 mte_instrumented=mte_instrumented)
         for thread in range(num_threads)
     ]

@@ -4,28 +4,42 @@ retry reuse, and graceful degradation past corrupt files.
 Everything here runs the worker in-process (the scheduler end-to-end path
 is covered by ``test_scheduler.py`` and the campaign smoke); the invariant
 throughout is that checkpoint corruption costs re-simulation *time*, never
-*results* and never the campaign.
+*results* and never the campaign.  SPEC and PARSEC cells run through the
+same cell function, so the warm-sharing and resume tests cover a one-core
+SPEC cell and a two-thread PARSEC cell alike.
 """
 
 import glob
 import json
 import os
+from types import SimpleNamespace
+
+import pytest
 
 from repro.campaign import CampaignConfig, CellSpec, run_cell
 from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.worker import CheckpointPlan
+from repro.campaign.worker import CheckpointPlan, _cell_programs
 from repro.campaign.cells import system_config
 from repro.checkpoint import CheckpointManager, corrupt
 from repro.system import build_system
-from repro.workloads import SPEC_BY_NAME
-from repro.workloads.generator import generate
+
+#: The workload fields of the SPEC cell and the two-thread PARSEC cell.
+WORKLOADS = {
+    "spec": dict(kind="spec", benchmark="505.mcf_r"),
+    "parsec": dict(kind="parsec", benchmark="canneal", num_threads=2),
+}
 
 
-def spec_cell(**overrides):
-    params = dict(kind="spec", benchmark="505.mcf_r", defense="specasan",
-                  target_instructions=400, warm_runs=1)
-    params.update(overrides)
-    return CellSpec(**params)
+@pytest.fixture(params=sorted(WORKLOADS))
+def make_cell(request):
+    """Builds the SPEC or the PARSEC cell (SpecASan, 400 instructions, one
+    warm run) with the given fields overridden."""
+    def make(**overrides):
+        params = dict(WORKLOADS[request.param], defense="specasan",
+                      target_instructions=400, warm_runs=1)
+        params.update(overrides)
+        return CellSpec(**params)
+    return make
 
 
 def plan_for(tmp_path, cell, interval=150):
@@ -36,12 +50,12 @@ def plan_for(tmp_path, cell, interval=150):
 
 
 class TestWarmSharing:
-    def test_first_cell_produces_then_group_shares(self, tmp_path):
-        specasan = spec_cell()
+    def test_first_cell_produces_then_group_shares(self, tmp_path, make_cell):
+        specasan = make_cell()
         row1 = run_cell(specasan, checkpointing=plan_for(tmp_path, specasan))
         assert row1["warm"] == "produced"
         # Same instrumented-program group, different defense: shared.
-        cfi = spec_cell(defense="specasan+cfi")
+        cfi = make_cell(defense="specasan+cfi")
         row2 = run_cell(cfi, checkpointing=plan_for(tmp_path, cfi))
         assert row2["warm"] == "shared"
         assert row2["degradations"] == []
@@ -49,10 +63,10 @@ class TestWarmSharing:
         assert len(glob.glob(os.path.join(str(tmp_path),
                                           "warm.*.ckpt"))) == 1
 
-    def test_warm_sharing_does_not_change_results(self, tmp_path):
+    def test_warm_sharing_does_not_change_results(self, tmp_path, make_cell):
         # Producer and sharer of the same (workload, defense) measure
         # identical cycles: the shared state is exactly the produced state.
-        cell = spec_cell()
+        cell = make_cell()
         row1 = run_cell(cell, checkpointing=plan_for(tmp_path, cell))
         for path in glob.glob(os.path.join(str(tmp_path), "*.ckpt.*")):
             os.unlink(path)  # drop generations so the rerun re-measures
@@ -61,8 +75,9 @@ class TestWarmSharing:
         assert (row1["cycles"], row1["instructions"], row1["ipc"]) == \
                (row2["cycles"], row2["instructions"], row2["ipc"])
 
-    def test_corrupt_warm_checkpoint_degrades_to_local_warm(self, tmp_path):
-        cell = spec_cell()
+    def test_corrupt_warm_checkpoint_degrades_to_local_warm(self, tmp_path,
+                                                            make_cell):
+        cell = make_cell()
         reference = run_cell(cell, checkpointing=plan_for(tmp_path, cell))
         [warm_path] = glob.glob(os.path.join(str(tmp_path), "warm.*.ckpt"))
         corrupt.flip_bit(warm_path, section="hierarchy")
@@ -75,30 +90,47 @@ class TestWarmSharing:
                [("warm", "section-corrupt")]
         assert row["cycles"] == reference["cycles"]
 
-    def test_disabled_plan_keeps_legacy_payload_shape(self):
-        row = run_cell(spec_cell(warm_runs=0))
+    def test_disabled_plan_keeps_legacy_payload_shape(self, make_cell):
+        row = run_cell(make_cell(warm_runs=0))
         assert "warm" not in row and "degradations" not in row
+
+    def test_producer_beats_like_a_local_warm_up(self, tmp_path, make_cell):
+        # A producer's warm phase must keep the heartbeat going, or the
+        # scheduler reaps a long warm-up as a straggler.  The producer warms
+        # under the baseline config, so a baseline cell simulates the same
+        # cycles either way.
+        cell = make_cell(defense="none")
+
+        def beats(plan):
+            cycles = []
+            run_cell(cell, heartbeat=SimpleNamespace(interval=100,
+                                                     beat=cycles.append),
+                     checkpointing=plan)
+            return cycles
+
+        local = beats(CheckpointPlan())
+        assert beats(CheckpointPlan(warm_dir=str(tmp_path))) == local
+        assert len(local) > 10
 
 
 class TestMidCellResume:
-    def test_retry_resumes_from_prior_attempts_generation(self, tmp_path):
+    def test_retry_resumes_from_prior_attempts_generation(self, tmp_path,
+                                                          make_cell):
         # The "attempt 0 died mid-cell" shape: a checkpoint exists at the
         # attempt-independent stem; the retried cell must restore it and
         # still produce exactly the straight-through row.
-        cell = spec_cell(warm_runs=0)
+        cell = make_cell(warm_runs=0)
         plan = plan_for(tmp_path, cell)
         reference = run_cell(cell, checkpointing=plan)
         for path in glob.glob(os.path.join(str(tmp_path), "*.ckpt.*")):
             os.unlink(path)
 
         # Fabricate the dead attempt: identical system paused mid-run.
-        program = generate(
-            SPEC_BY_NAME[cell.benchmark], seed=cell.seed,
-            target_instructions=cell.target_instructions,
-            mte_instrumented=cell.defense_kind.uses_specasan).program
+        programs = _cell_programs(cell)
         victim = build_system(system_config(cell, 0))
-        victim.prepare(program).run(until_cycle=100)
-        CheckpointManager(plan.stem, keep=plan.keep).save(victim, program)
+        victim.prepare(programs)
+        victim.run_prepared(until_cycle=100)
+        CheckpointManager(plan.stem, keep=plan.keep).save(victim, programs)
 
         row = run_cell(cell, checkpointing=plan)
         assert row["warm"] == "checkpoint"
@@ -106,8 +138,9 @@ class TestMidCellResume:
         assert row["cycles"] == reference["cycles"]
         assert row["instructions"] == reference["instructions"]
 
-    def test_all_generations_corrupt_restarts_and_records(self, tmp_path):
-        cell = spec_cell(warm_runs=0)
+    def test_all_generations_corrupt_restarts_and_records(self, tmp_path,
+                                                          make_cell):
+        cell = make_cell(warm_runs=0)
         plan = plan_for(tmp_path, cell, interval=120)
         reference = run_cell(cell, checkpointing=plan)
         gens = sorted(glob.glob(os.path.join(str(tmp_path), "*.ckpt.*")))
@@ -120,11 +153,12 @@ class TestMidCellResume:
         assert kinds == {("resume", "truncated")}
         assert row["cycles"] == reference["cycles"]
 
-    def test_reseeded_retry_silently_skips_stale_generations(self, tmp_path):
+    def test_reseeded_retry_silently_skips_stale_generations(self, tmp_path,
+                                                             make_cell):
         # After a typed failure the scheduler bumps the reseed; the old
         # generations are config-skewed, which is an expected fresh start,
         # not a degradation.
-        cell = spec_cell(warm_runs=0)
+        cell = make_cell(warm_runs=0)
         plan = plan_for(tmp_path, cell, interval=120)
         run_cell(cell, checkpointing=plan, reseed=0)
         row = run_cell(cell, checkpointing=plan, reseed=1)

@@ -14,10 +14,11 @@ import os
 import pytest
 
 from repro.checkpoint import (CheckpointHook, CheckpointManager,
-                              CheckpointStats, corrupt)
+                              CheckpointStats, config_fingerprint, corrupt,
+                              program_fingerprint, read_checkpoint,
+                              write_checkpoint)
 from repro.config import CORTEX_A76, DefenseKind
 from repro.errors import CheckpointError
-from repro.multicore import MulticoreSystem
 from repro.system import build_system
 from repro.workloads import build_parsec, build_spec
 
@@ -81,19 +82,19 @@ class TestByteIdenticalContinuation:
         programs = [w.program for w in build_parsec(
             "canneal", seed=1, num_threads=2, target_instructions=400)]
 
-        reference = MulticoreSystem(config)
+        reference = build_system(config)
         reference.prepare(programs)
         reference.run_prepared()
         reference_blob = blob(reference)
 
         manager = CheckpointManager(str(tmp_path / "gen"))
-        victim = MulticoreSystem(config)
+        victim = build_system(config)
         victim.prepare(programs)
         victim.run_prepared(until_cycle=120)
         manager.save(victim, programs)
         del victim
 
-        resumed = MulticoreSystem(config)
+        resumed = build_system(config)
         result = manager.restore(resumed, programs)
         assert result.cycle == 120
         resumed.run_prepared()
@@ -113,6 +114,52 @@ class TestByteIdenticalContinuation:
         resumed = build_system(config)
         manager.restore(resumed, program)
         resumed.core.run()
+        assert blob(resumed) == blob(reference)
+
+
+class TestSectionLayout:
+    """One file layout for any number of cores: a ``meta`` section
+    (``multicore``, ``cycle``) beside the hierarchy and the core list, as
+    the one-core and the N-core writers of this schema version wrote it.
+    A file written by hand in that layout restores to the same
+    continuation, and the manager writes exactly that layout."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_layout_restores_to_the_same_continuation(self, tmp_path,
+                                                      threads):
+        config = CORTEX_A76.with_defense(DefenseKind.SPECASAN)
+        if threads == 1:
+            programs = spec_program("505.mcf_r")
+        else:
+            config = config.with_cores(threads)
+            programs = [w.program for w in build_parsec(
+                "canneal", seed=1, num_threads=threads,
+                target_instructions=400)]
+        reference = build_system(config)
+        reference.prepare(programs)
+        reference.run_prepared()
+
+        victim = build_system(config)
+        victim.prepare(programs)
+        victim.run_prepared(until_cycle=120)
+        state = victim.state_dict()
+        sections = {"meta": {"multicore": threads > 1, "cycle": 120},
+                    "hierarchy": state["hierarchy"],
+                    "cores": state["cores"]}
+        manager = CheckpointManager(str(tmp_path / "gen"))
+        write_checkpoint(manager.path_for(0), sections,
+                         config_hash=config_fingerprint(config),
+                         program_hash=program_fingerprint(programs),
+                         cycle=120)
+        saved = manager.save(victim, programs)
+        assert read_checkpoint(saved)[1] == read_checkpoint(
+            manager.path_for(0))[1]
+        os.unlink(saved)
+
+        resumed = build_system(config)
+        result = manager.restore(resumed, programs)
+        assert (result.generation, result.cycle) == (0, 120)
+        resumed.run_prepared()
         assert blob(resumed) == blob(reference)
 
 

@@ -9,19 +9,15 @@ cross-core channel.
 
 from repro.attacks import spectre_v1
 from repro.config import CORTEX_A76, DefenseKind
-from repro.defenses import make_policy
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.core import Core
 from repro.isa import assemble
-from repro.system import load_program
+from repro.system import build_system
 
 
 def _run_victim_with_observer(defense):
     """Victim (core 1) runs the Spectre-v1 PoC; the attacker (core 0) just
     spins, then probes the shared L2 for secret-indexed probe lines."""
     attack = spectre_v1.build()
-    config = CORTEX_A76.with_cores(2).with_defense(defense)
-    hierarchy = MemoryHierarchy(config)
+    system = build_system(CORTEX_A76.with_cores(2).with_defense(defense))
     observer_prog = assemble("""
         MOV X1, #4000
     spin:
@@ -29,19 +25,11 @@ def _run_victim_with_observer(defense):
         CBNZ X1, spin
         HALT
     """)
-    load_program(hierarchy, observer_prog)
-    load_program(hierarchy, attack.builder_program)
-    observer = Core(config, hierarchy, observer_prog,
-                    policy=make_policy(defense), core_id=0)
-    victim = Core(config, hierarchy, attack.builder_program,
-                  policy=make_policy(defense), core_id=1)
+    _, victim = system.prepare([observer_prog, attack.builder_program])
     victim.secret_ranges = [(attack.secret_address,
                              attack.secret_address + 16)]
-    while not (observer.halted and victim.halted):
-        if not observer.halted:
-            observer.tick()
-        if not victim.halted:
-            victim.tick()
+    system.run_prepared()
+    hierarchy = system.hierarchy
     hierarchy.drain(10 ** 9)
     # The attacker probes through ITS OWN core: only the shared L2 can
     # betray the victim's speculation.

@@ -1,11 +1,13 @@
-"""The 4-core system: parallel execution, coherence, aggregation."""
+"""Several cores on one system: parallel execution, coherence,
+aggregation."""
 
 import pytest
 
 from repro.config import CORTEX_A76, DefenseKind
 from repro.errors import ConfigError
 from repro.isa import assemble
-from repro.multicore import MulticoreSystem
+from repro.system import build_system
+from repro.telemetry import OccupancyProfiler, TraceSink
 from repro.workloads import build_parsec
 
 
@@ -25,7 +27,7 @@ def counting_program(increment, address):
 
 class TestBasics:
     def test_two_cores_run_independent_programs(self):
-        system = MulticoreSystem(CORTEX_A76.with_cores(2))
+        system = build_system(CORTEX_A76.with_cores(2))
         result = system.run([counting_program(2, 0x3000),
                              counting_program(3, 0x3100)])
         assert system.hierarchy.memory.read_word(0x3000) == 40
@@ -33,15 +35,24 @@ class TestBasics:
         assert result.instructions == sum(s.committed for s in result.per_core)
 
     def test_cycles_is_the_slowest_thread(self):
-        system = MulticoreSystem(CORTEX_A76.with_cores(2))
+        system = build_system(CORTEX_A76.with_cores(2))
         result = system.run([counting_program(1, 0x3000),
                              assemble("HALT")])
         assert result.cycles == max(s.cycles for s in result.per_core)
 
     def test_too_many_programs_rejected(self):
-        system = MulticoreSystem(CORTEX_A76.with_cores(1))
+        system = build_system(CORTEX_A76.with_cores(1))
         with pytest.raises(ConfigError):
             system.run([assemble("HALT"), assemble("HALT")])
+
+    @pytest.mark.parametrize("hook", ["tracer", "occupancy"])
+    def test_telemetry_observes_one_core(self, hook):
+        system = build_system(CORTEX_A76.with_cores(2))
+        setattr(system, hook, TraceSink() if hook == "tracer"
+                else OccupancyProfiler())
+        system.run(assemble("HALT"))  # one program: fine
+        with pytest.raises(ConfigError):
+            system.prepare([assemble("HALT"), assemble("HALT")])
 
 
 class TestCoherence:
@@ -67,7 +78,7 @@ class TestCoherence:
             STR X2, [X1]
             HALT
         """)
-        system = MulticoreSystem(CORTEX_A76.with_cores(2))
+        system = build_system(CORTEX_A76.with_cores(2))
         result = system.run([reader, writer])
         assert result.invalidations >= 1
         reader_core = system.cores[0]
@@ -77,7 +88,7 @@ class TestCoherence:
         for defense in (DefenseKind.NONE, DefenseKind.SPECASAN):
             threads = build_parsec("swaptions", num_threads=2,
                                    target_instructions=600)
-            system = MulticoreSystem(
+            system = build_system(
                 CORTEX_A76.with_cores(2).with_defense(defense))
             result = system.run([t.program for t in threads])
             assert not any(result.faults)

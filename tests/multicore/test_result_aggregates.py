@@ -1,7 +1,7 @@
-"""MulticoreResult aggregation arithmetic."""
+"""RunResult aggregation arithmetic over several cores."""
 
-from repro.multicore import MulticoreResult
 from repro.pipeline.stats import CoreStats
+from repro.system import RunResult
 
 
 class TestAggregates:
@@ -10,7 +10,7 @@ class TestAggregates:
             CoreStats(cycles=100, committed=150, restricted_committed=3),
             CoreStats(cycles=120, committed=250, restricted_committed=1),
         ]
-        return MulticoreResult(cycles=120, per_core=per_core,
+        return RunResult(cycles=120, per_core=per_core,
                                faults=[None, None], restricted=4,
                                invalidations=7)
 
@@ -25,7 +25,7 @@ class TestAggregates:
         assert self._result().restricted_fraction == 4 / 400
 
     def test_empty_guards(self):
-        empty = MulticoreResult(cycles=0, per_core=[], faults=[],
+        empty = RunResult(cycles=0, per_core=[], faults=[],
                                 restricted=0, invalidations=0)
         assert empty.ipc == 0.0
         assert empty.restricted_fraction == 0.0

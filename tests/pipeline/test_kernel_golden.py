@@ -20,7 +20,6 @@ import json
 import pytest
 
 from repro.config import CORTEX_A76, DefenseKind
-from repro.multicore import MulticoreSystem
 from repro.system import build_system
 from repro.workloads import SPEC_BY_NAME, build_parsec
 from repro.workloads import generator
@@ -31,6 +30,8 @@ SPEC_PROFILES = ("505.mcf_r", "520.omnetpp_r", "531.deepsjeng_r",
                  "511.povray_r", "523.xalancbmk_r")
 MULTICORE_DEFENSES = (DefenseKind.NONE, DefenseKind.SPECASAN,
                       DefenseKind.GHOSTMINION, DefenseKind.STT)
+#: PARSEC workloads pinned on four cores, as Figure 7 runs them.
+PARSEC_WORKLOADS = ("blackscholes", "canneal", "ferret", "fluidanimate")
 
 
 def _fault(fault):
@@ -56,11 +57,13 @@ def single_core_digest(profile: str, defense: DefenseKind, mte: bool) -> str:
     return _digest(system.stats_registry().dump(), [system.core])
 
 
-def multicore_digest(defense: DefenseKind) -> str:
+def multicore_digest(defense: DefenseKind, workload: str = "canneal",
+                     threads: int = 2) -> str:
     programs = [w.program for w in build_parsec(
-        "canneal", seed=SEED, num_threads=2,
+        workload, seed=SEED, num_threads=threads,
         target_instructions=INSTRUCTIONS)]
-    system = MulticoreSystem(CORTEX_A76.with_defense(defense).with_cores(2))
+    system = build_system(CORTEX_A76.with_defense(defense)
+                          .with_cores(threads))
     system.prepare(programs)
     system.run_prepared()
     return _digest(system.stats_registry().dump(), system.cores)
@@ -72,6 +75,16 @@ def _single_id(profile: str, defense: DefenseKind, mte: bool) -> str:
 
 SINGLE_CASES = [(p, d, m) for p in SPEC_PROFILES for d in DefenseKind
                 for m in (True, False)]
+MULTICORE_CASES = ([(d, "canneal", 2) for d in MULTICORE_DEFENSES]
+                   + [(d, w, 4) for w in PARSEC_WORKLOADS
+                      for d in MULTICORE_DEFENSES])
+FOUR_CORE_CASES = [(w, d) for w in PARSEC_WORKLOADS
+                   for d in MULTICORE_DEFENSES]
+
+
+def _multicore_id(defense: DefenseKind, workload: str, threads: int) -> str:
+    return f"{workload} x{threads}/{defense.value}"
+
 
 GOLDEN = {
     '505.mcf_r/none/mte':
@@ -222,6 +235,38 @@ GOLDEN = {
         'f302a2dbf6578f257ca00e560e139a520e0a85d5e91f9abb377cbdae33630591',
     'canneal x2/stt':
         'b57d2c73a186c9f035e1f0c65f5292b4252198639e2b10b8f7852dd0ea7ea31d',
+    'blackscholes x4/none':
+        'b90e76a2be87ac4913b0096e27db4c6ab931101b1400aecaaf5a21bca784cfed',
+    'blackscholes x4/specasan':
+        '2dd4c335d55d0520435bd06989fa485b7e6973ce5c425cfc590599f1a80bb163',
+    'blackscholes x4/ghostminion':
+        'd7c986363ce17393f0f93b69535e641067606629519d4b7eabe18ba4748a9136',
+    'blackscholes x4/stt':
+        '654b78c5d845e5faf14e03fe2d9b205bcc774fa5b2ee767c8fd78f5556c7f4e1',
+    'canneal x4/none':
+        '08044a3577e5f212b4c6fadf9d4fde787589f93ad274632db41918804e8a8be0',
+    'canneal x4/specasan':
+        '672bffc58db6e3ef5901b16d37f58056052ccb6c81600d4488e3f6cc4e75dae9',
+    'canneal x4/ghostminion':
+        'fbffd3ca15c93dd7a4a98b8b61998eb2b959476744757387de9e1e621820c783',
+    'canneal x4/stt':
+        '7e08aec81b46121dac5839644cc07761b371c5967fa83728850a2ab676083e29',
+    'ferret x4/none':
+        'c7361ae4dae548ea358ac3b0ea0238df9b0db6b70405ea39410c011c3d1d5120',
+    'ferret x4/specasan':
+        'bd61aaafa6dee67f27297c42f55a3d13453d1d3db6d3fcf3ae91b827b2db9ac4',
+    'ferret x4/ghostminion':
+        '6840976311746cdf4de10c492a9f79b076fbe605618d8718c8406e0aa1f1d17d',
+    'ferret x4/stt':
+        'd6ccdb9c8778c02155991f68b4fee2d826b99c070120e8c7fef74c627718a237',
+    'fluidanimate x4/none':
+        'fb583a0e3c8a0aaeac4eaf6bea4dfee75addf3b5846bbfe8ffee6a79c59c3d3b',
+    'fluidanimate x4/specasan':
+        'd90ed6b0caad31eba164821c9b67931519162d3e50dae69309e086903f2a590e',
+    'fluidanimate x4/ghostminion':
+        '01c4e1ee34e3ff9d3ba3efa95abbe7d6c957f5c10245f32fe30bce74d1e6a05e',
+    'fluidanimate x4/stt':
+        '564a2aed03694e0b027f38d196fa6e678e106a9ccea6c33b0bacff15b19da84e',
 }
 
 
@@ -235,14 +280,21 @@ def test_single_core_digest(profile, defense, mte):
 @pytest.mark.parametrize("defense", MULTICORE_DEFENSES,
                          ids=[d.value for d in MULTICORE_DEFENSES])
 def test_multicore_digest(defense):
-    key = f"canneal x2/{defense.value}"
+    key = _multicore_id(defense, "canneal", 2)
     assert multicore_digest(defense) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("workload,defense", FOUR_CORE_CASES,
+                         ids=[f"{w}-{d.value}" for w, d in FOUR_CORE_CASES])
+def test_four_core_digest(workload, defense):
+    key = _multicore_id(defense, workload, 4)
+    assert multicore_digest(defense, workload, 4) == GOLDEN[key]
 
 
 if __name__ == "__main__":
     for case in SINGLE_CASES:
         print(f"    {_single_id(*case)!r}:\n        "
               f"{single_core_digest(*case)!r},")
-    for defense in MULTICORE_DEFENSES:
-        print(f"    {f'canneal x2/{defense.value}'!r}:\n        "
-              f"{multicore_digest(defense)!r},")
+    for case in MULTICORE_CASES:
+        print(f"    {_multicore_id(*case)!r}:\n        "
+              f"{multicore_digest(*case)!r},")

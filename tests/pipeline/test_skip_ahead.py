@@ -1,11 +1,12 @@
-"""Idle-cycle skip-ahead in ``Core.run`` is invisible.
+"""Idle-cycle skip-ahead in the run loop is invisible.
 
-``Core.run`` does not tick cycles in which no stage can change state, but
-it never jumps past an interval observer's next firing.  A no-op
-heartbeat with ``interval=1`` therefore forces a real tick every cycle,
-which is the reference every test here compares against: same stats
-dump, same leak log, registers and fault, same pause points and the same
-deadlock report.
+The run loop (``run_cores``, behind ``Core.run`` and
+``SimulatedSystem.run_prepared``) does not tick cycles in which no core
+can change state, but it never jumps past an interval observer's next
+firing.  A no-op heartbeat with ``interval=1`` therefore forces a real
+tick every cycle, which is the reference every test here compares
+against: same stats dump, same leak log, registers and fault, same pause
+points and the same deadlock report, for one core and for four.
 """
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ from repro.isa import assemble
 from repro.isa.instructions import InstrClass
 from repro.resilience import summarize
 from repro.system import build_system
-from repro.workloads import SPEC_BY_NAME
+from repro.workloads import build_parsec, SPEC_BY_NAME
 from repro.workloads import generator
 
 ALL_DEFENSES = list(DefenseKind)
@@ -50,7 +51,7 @@ def _every_cycle(core):
 
 def _record_ticks(core):
     """The cycles ``core.tick`` is called for (an instance attribute
-    shadows the method that ``run`` looks up on ``self``)."""
+    shadows the method that the run loop looks up on the core)."""
     ticked = []
     tick = core.tick
 
@@ -233,3 +234,71 @@ def test_deadlock_report_is_the_same():
     assert plain.cycles == ticked.cycles == 6
     assert summarize(plain.snapshot) == summarize(ticked.snapshot)
     assert plain.snapshot == ticked.snapshot
+
+
+# -- four cores ------------------------------------------------------------
+
+FOUR_CORES = CORTEX_A76.with_defense(DefenseKind.SPECASAN).with_cores(4)
+
+
+def _threads():
+    return [w.program for w in build_parsec(
+        "canneal", seed=3, num_threads=4, target_instructions=1000)]
+
+
+def _system_outcome(system):
+    return (system.stats_registry().dump(),
+            [(core.leak_log, core.arf,
+              None if core.fault is None else str(core.fault))
+             for core in system.cores])
+
+
+def _every_system_cycle(system):
+    """Attach a no-op system heartbeat that fires every cycle."""
+    system.heartbeat = SimpleNamespace(interval=1, beat=lambda cycle: None)
+    return system
+
+
+def test_four_core_skipping_changes_no_result():
+    programs = _threads()
+    skipped = build_system(FOUR_CORES)
+    ticks = [_record_ticks(core) for core in skipped.prepare(programs)]
+    skipped.run_prepared()
+
+    ticked = _every_system_cycle(build_system(FOUR_CORES))
+    reference_ticks = [_record_ticks(core)
+                       for core in ticked.prepare(programs)]
+    ticked.run_prepared()
+
+    assert _system_outcome(skipped) == _system_outcome(ticked)
+    for core, cycles in zip(ticked.cores, reference_ticks):
+        assert cycles == list(range(1, core.cycle + 1))
+    assert sum(map(len, ticks)) < sum(map(len, reference_ticks))
+    # A halted core is ticked no more: its cycle stays at its halt cycle
+    # while the others run on.
+    for core, cycles in zip(skipped.cores, ticks):
+        assert core.halted and core.cycle == core.stats.cycles == cycles[-1]
+    assert len({core.cycle for core in skipped.cores}) > 1
+
+
+def test_four_core_pause_inside_an_all_idle_stretch():
+    programs = _threads()
+    plain = build_system(FOUR_CORES)
+    ticks = [_record_ticks(core) for core in plain.prepare(programs)]
+    plain.run_prepared()
+    # A stretch of cycles in which no core ticked.
+    ticked = sorted(set().union(*ticks))
+    a, b = next((a, b) for a, b in zip(ticked, ticked[1:]) if b - a > 2)
+    pause = a + (b - a) // 2
+
+    paused = build_system(FOUR_CORES)
+    paused.prepare(programs)
+    paused.run_prepared(until_cycle=pause)
+    stepped = _every_system_cycle(build_system(FOUR_CORES))
+    stepped.prepare(programs)
+    stepped.run_prepared(until_cycle=pause)
+    live = [core for core in paused.cores if not core.halted]
+    assert live and all(core.cycle == pause for core in live)
+    assert paused.state_dict() == stepped.state_dict()
+    paused.run_prepared()
+    assert _system_outcome(paused) == _system_outcome(plain)

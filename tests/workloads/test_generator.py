@@ -47,10 +47,15 @@ class TestPinnedPrograms:
         assert program_fingerprint(workload.program) == fingerprint
 
     def test_parsec_thread(self):
-        # The second thread: its own heap base and the shared region.
+        # The second thread: its own heap base and the shared region, in
+        # the plain and the MTE-instrumented build.
         thread = build_parsec("canneal", num_threads=2, seed=1,
                               target_instructions=400)[1]
         assert program_fingerprint(thread.program) == "5a25eeb6a153e8f1"
+        tagged = build_parsec("canneal", num_threads=2, seed=1,
+                              target_instructions=400,
+                              mte_instrumented=True)[1]
+        assert program_fingerprint(tagged.program) == "9983dd172c627f25"
 
 
 class TestStructure:
