@@ -24,7 +24,8 @@ import tempfile
 import time
 
 from repro.campaign.cells import CampaignConfig, FIGURES
-from repro.campaign.scheduler import CampaignScheduler, _worker_env
+from repro.campaign.pool import worker_env
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 
@@ -103,7 +104,7 @@ def smoke(base_dir: str = "", verbose: bool = True) -> int:
     say("phase 2: sweep in a child process, SIGKILLed mid-flight")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.campaign", "--smoke-child", dir_kill],
-        env=_worker_env(), start_new_session=True,
+        env=worker_env(), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     store = ResultStore(dir_kill)
     total = len(config.build_cells())

@@ -17,13 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.config import CORTEX_A76, DefenseKind, SystemConfig
+from repro.config import (CORTEX_A76, FIG6_DEFENSES, FIG9_DEFENSES,
+                          DefenseKind, SystemConfig)
 from repro.errors import CampaignError
-from repro.eval.experiments import (FIG6_DEFENSES, FIG9_DEFENSES,
-                                    ExperimentRow)
 from repro.workloads import parsec_names, spec_names
+
+if TYPE_CHECKING:
+    from repro.eval.experiments import ExperimentRow
 
 #: Bump when the result-record layout changes; stale-schema records in a
 #: resumed store are re-run, never trusted.
@@ -227,6 +229,8 @@ def rows_from_records(cells: Sequence[CellSpec],
     :func:`~repro.eval.experiments.render_rows` — partial figures degrade
     visibly, they never divide by a made-up baseline.
     """
+    # Imported here: the campaign's start path never loads repro.eval.
+    from repro.eval.experiments import ExperimentRow
     rows: List[ExperimentRow] = []
     baselines = {
         cell.benchmark: records[cell.cell_id]["row"]["cycles"]

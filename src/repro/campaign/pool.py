@@ -1,29 +1,35 @@
 """Shared process-pool core: one abstraction under campaigns and the service.
 
-The campaign scheduler (batch sweeps) and :mod:`repro.service` (the
-always-on spec-lint front end) supervise the same kind of unit: a worker
-process that writes a heartbeat file from inside its work loop and an
-outcome JSON on exit.  This module is the machinery both share:
+The campaign scheduler (batch sweeps), the fuzz campaign and
+:mod:`repro.service` (the always-on spec-lint front end) supervise the
+same kind of unit: a worker process that writes a heartbeat file from
+inside its work loop and an outcome JSON on exit.  This module is the
+machinery they share:
 
-- :func:`worker_env` / :func:`launch` — spawn a worker with the repro
-  source tree importable and its output captured to a log file;
-- :func:`start_template` / :func:`fork` — :func:`launch`'s twin for a
-  long-lived supervisor: each worker is a fresh ``fork()`` of one template
-  process that imported the worker's modules once, running the same argv;
+- :func:`fork` — launch one worker as a fresh ``fork()`` that runs the
+  worker's argv (``python -m module ...`` or ``python -c code ...``) with
+  its output captured to a log file.  The campaign and fuzz supervisors
+  fork themselves: they run single-threaded and have imported everything
+  a worker needs before their first launch.  The threaded service forks
+  a template process (:func:`start_template`) that imported the worker's
+  modules once;
 - :class:`WorkerProcess` — one supervised worker: non-blocking exit
   polling, heartbeat-staleness and wall-budget liveness checks, and
   terminate-then-kill reaping;
+- :func:`sleep_until_exit` — the synchronous supervisors' one wait: sleep
+  on the workers' exit sentinels (an fd that turns readable when the
+  worker exits) and an optional wakeup fd, until one fires or
+  :meth:`WorkerProcess.next_check_s` says a liveness check is due (the
+  service's asyncio supervisor sleeps on the same sentinels);
 - :func:`read_outcome` / :func:`classify_exit` — the outcome-file contract
   (``status: ok | failed | crashed``) folded with the exit code into one
-  :class:`WorkerExit` classification;
-- :class:`AdaptiveWait` — the campaign and fuzz poll pacing: tight while
-  workers are active, exponential backoff capped while idle.
+  :class:`WorkerExit` classification.
 
-The scheduler and the fuzz campaign drive spawned workers from their
-synchronous poll loops.  The service supervisor forks its workers and
-sleeps on each one's exit sentinel (an fd that turns readable when the
-worker exits) until the worker exits or
-:meth:`WorkerProcess.next_check_s` says a liveness check is due.
+A fork starts from a copy of its parent's memory, so the parent must
+never have run a worker's work itself: the supervisors only schedule, as
+the template only imports.  What else the fork copies, the child undoes
+before the argv runs (:func:`_run_argv`), so it acts as a fresh
+interpreter did.
 """
 
 from __future__ import annotations
@@ -31,12 +37,15 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import repro
 from repro.campaign.heartbeat import age_s
@@ -125,11 +134,10 @@ class WorkerProcess:
     supervisor polls :meth:`exit` (non-blocking) and
     :meth:`liveness_failure`; a worker that exceeds its wall budget or
     goes heartbeat-silent is :meth:`reaped <reap>`.  ``proc`` is the
-    :class:`subprocess.Popen` of :func:`launch` or the Popen-shaped handle
-    of :func:`fork`.
+    handle of :func:`fork`.
     """
 
-    def __init__(self, proc: Union[subprocess.Popen, "_Forked"], *,
+    def __init__(self, proc: "_Forked", *,
                  out_path: str, heartbeat_path: str, log_path: str = "",
                  timeout_s: float = float("inf"),
                  stall_timeout_s: float = float("inf")):
@@ -198,31 +206,19 @@ class WorkerProcess:
             self.proc.wait()
 
 
-def launch(argv: List[str], *, out_path: str, heartbeat_path: str,
-           log_path: str, timeout_s: float = float("inf"),
-           stall_timeout_s: float = float("inf"),
-           env: Optional[dict] = None) -> WorkerProcess:
-    """Spawn one worker with stdout/stderr captured to ``log_path``."""
-    log = open(log_path, "w", encoding="utf-8")
-    try:
-        proc = subprocess.Popen(argv, stdout=log, stderr=log,
-                                env=env if env is not None else worker_env())
-    finally:
-        log.close()
-    return WorkerProcess(proc, out_path=out_path,
-                         heartbeat_path=heartbeat_path, log_path=log_path,
-                         timeout_s=timeout_s,
-                         stall_timeout_s=stall_timeout_s)
-
-
 # ----------------------------------------------------------------------
-# forked launch: one pre-imported template, a fresh fork() per worker
+# forked launch: a fresh fork() per worker, of this process or a template
 # ----------------------------------------------------------------------
 
-def _template_context():
-    # Imported on first use, so the campaign's spawn path never pays it.
+#: The signals a supervisor handles and its forked workers must not: they
+#: stay blocked across the fork until the child has reset them.
+_SUPERVISOR_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def _context(name: str):
+    # Imported on first use: a supervisor that never forks never pays it.
     import multiprocessing
-    return multiprocessing.get_context("forkserver")
+    return multiprocessing.get_context(name)
 
 
 def _ensure_template() -> None:
@@ -257,7 +253,7 @@ def start_template(preload: Sequence[str]) -> None:
     it forks: it answers only after the preload, so this blocks through
     the imports (an event loop runs it in an executor).  With a template
     already running this costs one trivial fork."""
-    context = _template_context()
+    context = _context("forkserver")
     context.set_forkserver_preload(list(preload))
     _ensure_template()
     warm = context.Process(target=_noop, daemon=True)
@@ -268,13 +264,26 @@ def start_template(preload: Sequence[str]) -> None:
 
 def _run_argv(argv: List[str], log_path: str) -> None:
     """A forked worker's body: ``argv`` with ``python -m`` / ``-c``
-    semantics.  fds 1 and 2 move to the attempt log before anything runs:
-    the template inherited the supervisor's stdout, which in ``--stdio``
-    mode is the protocol stream."""
+    semantics, after undoing what the fork copied from the supervisor.
+
+    The supervisor's SIGTERM/SIGINT handlers and signal wakeup fd give
+    way to a fresh interpreter's defaults before the signals are
+    unblocked, so a reap's SIGTERM kills the worker at any moment.  fds 1
+    and 2 move to the attempt log, and ``sys.stdout``/``sys.stderr`` are
+    rebound to them: the supervisor's streams may be the service's
+    ``--stdio`` protocol stream or a test runner's capture.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SUPERVISOR_SIGNALS)
     fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     os.dup2(fd, 1)
     os.dup2(fd, 2)
     os.close(fd)
+    sys.stdout = open(1, "w", closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False,
+                      errors="backslashreplace")
     _, flag, target, *args = argv
     if flag == "-m":
         import runpy
@@ -289,11 +298,13 @@ def _run_argv(argv: List[str], log_path: str) -> None:
 
 
 class _Forked:
-    """The :class:`subprocess.Popen` calls :class:`WorkerProcess` makes,
-    over a worker forked from the template, plus its exit ``sentinel``."""
+    """The process calls :class:`WorkerProcess` makes (``poll``,
+    ``terminate``, ``kill``, ``wait``) over one forked worker, plus its
+    exit ``sentinel``."""
 
-    def __init__(self, process):
+    def __init__(self, process, template: bool):
         self.process = process
+        self.template = template
         self.pid: int = process.pid
         self.sentinel: int = process.sentinel
         self.returncode: Optional[int] = None
@@ -302,7 +313,7 @@ class _Forked:
         if self.returncode is None and self.process.exitcode is not None:
             self.returncode = self.process.exitcode
             self.process.close()
-            if self.returncode == TEMPLATE_LOST:
+            if self.template and self.returncode == TEMPLATE_LOST:
                 # The template died with the exit status, and the orphan
                 # may still run.  Pids are handed out in sequence, so this
                 # one cannot belong to anyone else yet.
@@ -330,47 +341,61 @@ class _Forked:
 
 def fork(argv: List[str], *, out_path: str, heartbeat_path: str,
          log_path: str, timeout_s: float = float("inf"),
-         stall_timeout_s: float = float("inf")) -> WorkerProcess:
-    """:func:`launch` by forking the template (restarted if it died).
+         stall_timeout_s: float = float("inf"),
+         template: bool = False) -> WorkerProcess:
+    """Launch one worker running ``argv`` in a fresh fork.
 
-    ``argv`` is what :func:`launch` would exec, ``[python, "-m", module,
-    *args]`` or ``[python, "-c", code, *args]``; it runs unchanged in a
-    fresh child of the template, whose imports are already done.
+    ``argv`` is ``[python, "-m", module, *args]`` or ``[python, "-c",
+    code, *args]``; it runs unchanged in a child whose imports are
+    already done: a fork of this process, or with ``template`` a fork of
+    the template (restarted if it died).  This process must then be
+    single-threaded, as a fork copies only the calling thread; CPython
+    3.12+ deprecates forking a multi-threaded process but drops its own
+    warning when warnings are errors, so it is repeated here.
     """
     if len(argv) < 3 or argv[1] not in ("-m", "-c"):
         raise ValueError(f"a forked worker runs -m or -c, not {argv!r}")
-    _ensure_template()
-    process = _template_context().Process(
-        target=_run_argv, args=(list(argv), log_path), daemon=True)
-    process.start()
-    return WorkerProcess(_Forked(process), out_path=out_path,
+    if template:
+        _ensure_template()
+        context = _context("forkserver")
+    else:
+        context = _context("fork")
+        threads = threading.active_count()
+        if threads > 1:
+            warnings.warn(f"forking a worker from a process with {threads} "
+                          "threads may deadlock it", DeprecationWarning,
+                          stacklevel=2)
+    process = context.Process(target=_run_argv,
+                              args=(list(argv), log_path), daemon=True)
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _SUPERVISOR_SIGNALS)
+    try:
+        process.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+    return WorkerProcess(_Forked(process, template), out_path=out_path,
                          heartbeat_path=heartbeat_path, log_path=log_path,
                          timeout_s=timeout_s,
                          stall_timeout_s=stall_timeout_s)
 
 
-class AdaptiveWait:
-    """Poll pacing: tight under activity, capped backoff while idle.
+def sleep_until_exit(workers: Sequence[WorkerProcess], timeout_s: float,
+                     wake_fd: Optional[int] = None) -> None:
+    """Sleep until one of ``workers`` exits, ``wake_fd`` turns readable,
+    or ``timeout_s`` seconds pass (rounded up: liveness checks are
+    strict, so a sleep to a deadline ends just past it).
 
-    ``interval(active)`` returns the next wait; while ``active`` it is
-    always ``base``, and each consecutive idle step doubles the wait up to
-    ``cap``.  Any active step resets the backoff, so a pool that goes busy
-    again is immediately back on the tight cadence.  :meth:`sleep` is the
-    synchronous convenience; asyncio callers await ``interval`` themselves.
+    A sentinel turns readable as the child closes its fds, just before it
+    can be reaped, so a sentinel wake is confirmed with a blocking wait:
+    the caller's next :meth:`WorkerProcess.exit` then sees the exit.
     """
-
-    def __init__(self, base: float = 0.02, cap: float = 0.5):
-        self.base = base
-        self.cap = max(cap, base)
-        self._idle_streak = 0
-
-    def interval(self, active: bool) -> float:
-        if active:
-            self._idle_streak = 0
-            return self.base
-        delay = min(self.cap, self.base * (2 ** self._idle_streak))
-        self._idle_streak += 1
-        return delay
-
-    def sleep(self, active: bool) -> None:
-        time.sleep(self.interval(active))
+    sentinels = {worker.proc.sentinel: worker for worker in workers}
+    poller = select.poll()
+    for fd in sentinels:
+        poller.register(fd, select.POLLIN)
+    if wake_fd is not None:
+        poller.register(wake_fd, select.POLLIN)
+    timeout_ms = (None if timeout_s == float("inf")
+                  else int(max(0.0, timeout_s) * 1000) + 1)
+    for fd, _ in poller.poll(timeout_ms):
+        if fd in sentinels:
+            sentinels[fd].proc.wait()

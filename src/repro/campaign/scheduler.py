@@ -24,9 +24,14 @@ Drives a sweep's cells through isolated worker subprocesses with:
   workers, writes ``report.json`` with an ``"interrupted"`` status, and
   leaves the run directory resumable (``--resume`` finishes it).
 
-The process-launch / liveness / exit-classification primitives live in
-:mod:`repro.campaign.pool`, shared with the :mod:`repro.service` worker
-supervisor — "campaign" and "service queue" are one pool abstraction.
+Each worker is a fork of the scheduler itself, which only schedules and
+never runs a cell, and the run loop sleeps on the workers' exit
+sentinels and a wakeup pipe (signals and :meth:`CampaignScheduler.interrupt`
+write to it) until a worker exits or the next liveness check, retry or
+metrics dump falls due.  The process-launch / liveness /
+exit-classification primitives live in :mod:`repro.campaign.pool`, shared
+with the :mod:`repro.service` worker supervisor — "campaign" and "service
+queue" are one pool abstraction.
 """
 
 from __future__ import annotations
@@ -38,20 +43,23 @@ import signal
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.campaign import pool
 from repro.campaign.cells import (CampaignConfig, CellSpec, rows_from_records)
-from repro.campaign.pool import AdaptiveWait, WorkerExit, WorkerProcess
+from repro.campaign.pool import WorkerExit, WorkerProcess
 from repro.campaign.store import ResultStore
 from repro.config import DefenseKind
-from repro.eval.experiments import ExperimentRow, render_rows
 from repro.store import Reject, atomic_write
 from repro.telemetry.obs import (SPAN_CHECKPOINT_RESTORE, FlightRecorder,
                                  SpanRecorder, new_trace_id)
 from repro.telemetry.prometheus import render_prometheus
 from repro.telemetry.registry import StatsRegistry
+
+if TYPE_CHECKING:
+    from repro.eval.experiments import ExperimentRow
 
 #: Span log + flight-recorder dump + metrics snapshots in the run dir.
 SPANS_LOG = "spans.jsonl"
@@ -67,9 +75,6 @@ _PHASE_SPANS = (("generate_ms", "workload-generate"),
                 ("synthesize_ms", "witness-synthesize"),
                 ("plan_ms", "repair-plan"),
                 ("measure_ms", "repair-measure"))
-
-#: Backwards-compatible alias (the CLI and older tests import it from here).
-_worker_env = pool.worker_env
 
 
 @dataclass
@@ -137,6 +142,8 @@ class CampaignOutcome:
 
     def render(self, metric: str = "normalized") -> str:
         """The figure, with explicit markers for any missing cells."""
+        # Imported here: the campaign's start path never loads repro.eval.
+        from repro.eval.experiments import render_rows
         # Repair cells are self-normalizing (the unrepaired program is the
         # baseline), so there is no NONE column to expect.
         baseline = [] if self.config.kind == "repair" \
@@ -193,16 +200,22 @@ class CampaignScheduler:
     def __init__(self, config: CampaignConfig, run_dir: str, *,
                  progress: Optional[Callable[[str], None]] = None,
                  worker_argv: Optional[Callable[..., List[str]]] = None,
-                 poll_interval_s: float = 0.02,
                  metrics_interval_s: float = 5.0):
         self.config = config
         self.run_dir = run_dir
         self.store = ResultStore(run_dir)
         self.progress = progress or (lambda message: None)
         self.worker_argv = worker_argv
-        self.poll_interval_s = poll_interval_s
         self.metrics_interval_s = metrics_interval_s
         self._interrupted = False
+        # The run loop's wakeup pipe: signals (through the wakeup fd) and
+        # interrupt() write to it.  It lives as long as the scheduler, so
+        # interrupt() from another thread never writes to a closed fd.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        weakref.finalize(self, os.close, self._wake_r)
+        weakref.finalize(self, os.close, self._wake_w)
         # Jitter must be deterministic per campaign seed so two runs of the
         # same config retry on the same schedule (results never depend on
         # jitter, only latency does).
@@ -283,11 +296,11 @@ class CampaignScheduler:
                 pass
         argv_factory = self.worker_argv or self._default_argv
         argv = argv_factory(cell, paths, attempt, reseed)
-        worker = pool.launch(argv, out_path=paths["out"],
-                             heartbeat_path=paths["heartbeat"],
-                             log_path=paths["log"],
-                             timeout_s=cell.timeout_s,
-                             stall_timeout_s=self.config.stall_timeout_s)
+        worker = pool.fork(argv, out_path=paths["out"],
+                           heartbeat_path=paths["heartbeat"],
+                           log_path=paths["log"],
+                           timeout_s=cell.timeout_s,
+                           stall_timeout_s=self.config.stall_timeout_s)
         self._m_launched.inc()
         self.flight.record("cell-launch", trace=trace, cell=cell.cell_id,
                            attempt=attempt, pid=worker.pid)
@@ -422,10 +435,6 @@ class CampaignScheduler:
                    if cell.cell_id not in completed]
         active: List[_ActiveWorker] = []
         failed: Dict[str, List[AttemptFailure]] = {}
-        # Poll pacing: tight while workers run, capped backoff while every
-        # pending cell is waiting out its retry delay (nothing to observe).
-        wait = AdaptiveWait(base=self.poll_interval_s,
-                            cap=max(self.poll_interval_s, 0.25))
 
         with self._signal_scope():
             while (pending or active) and not self._interrupted:
@@ -459,8 +468,8 @@ class CampaignScheduler:
                 if now - self._metrics_dumped_at >= self.metrics_interval_s:
                     self.dump_metrics()
                     self._metrics_dumped_at = now
-                if pending or active:
-                    wait.sleep(active=bool(active))
+                if (pending or active) and not self._interrupted:
+                    self._sleep(active, pending)
 
         if self._interrupted and active:
             # Reap, don't strand: the workers die now, their cells stay
@@ -483,6 +492,24 @@ class CampaignScheduler:
         self.spans.close()
         return outcome
 
+    def _sleep(self, active: List[_ActiveWorker],
+               pending: List[_PendingCell]) -> None:
+        """Sleep until a worker exits, a signal or :meth:`interrupt`
+        arrives, or the earliest liveness check, retry eligibility (while
+        a worker slot is free) or metrics dump falls due."""
+        now = time.monotonic()
+        due = [self._metrics_dumped_at + self.metrics_interval_s - now]
+        due += [worker.worker.next_check_s(now) for worker in active]
+        if len(active) < self.config.max_workers:
+            due += [state.eligible_at - now for state in pending]
+        pool.sleep_until_exit([worker.worker for worker in active],
+                              min(due), wake_fd=self._wake_r)
+        try:
+            while os.read(self._wake_r, 512):
+                pass
+        except BlockingIOError:
+            pass
+
     def dump_metrics(self) -> None:
         """Snapshot the ``campaign.*`` registry into the run dir, both as
         a JSON dump and as Prometheus text exposition."""
@@ -497,11 +524,18 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
 
     def interrupt(self) -> None:
-        """Request a graceful stop (signal-handler and test entry point)."""
+        """Request a graceful stop (signal-handler and test entry point);
+        safe from any thread, it wakes the run loop."""
         self._interrupted = True
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass   # the pipe is full, so the loop is already woken
 
     def _signal_scope(self):
-        """Install SIGTERM/SIGINT -> :meth:`interrupt` around the run loop.
+        """Install SIGTERM/SIGINT -> :meth:`interrupt` around the run loop,
+        with the wakeup pipe as the signal wakeup fd: a signal delivered
+        to another thread still wakes the loop's sleep.
 
         Only the main thread may install signal handlers; elsewhere (tests
         driving the scheduler from a thread, embedding services) the scope
@@ -518,15 +552,17 @@ class CampaignScheduler:
             handled = (signal.SIGTERM, signal.SIGINT)
 
             def handler(signum, frame):
-                self.progress(f"received signal {signum}; finishing poll "
-                              "and stopping gracefully")
+                self.progress(f"received signal {signum}; stopping "
+                              "gracefully")
                 self.interrupt()
 
             for sig in handled:
                 previous[sig] = signal.signal(sig, handler)
+            previous_fd = signal.set_wakeup_fd(self._wake_w)
             try:
                 yield
             finally:
+                signal.set_wakeup_fd(previous_fd)
                 for sig, old in previous.items():
                     signal.signal(sig, old)
 

@@ -1,8 +1,9 @@
 """Campaign worker: runs exactly one cell, in its own process.
 
-The scheduler launches ``python -m repro.campaign.worker --spec … --out …
---heartbeat …`` so that a crash, OOM kill, or runaway loop takes down *one
-cell's attempt*, never the campaign.  The contract with the scheduler:
+The scheduler runs ``python -m repro.campaign.worker --spec … --out …
+--heartbeat …`` in a fork of itself (:func:`repro.campaign.pool.fork`) so
+that a crash, OOM kill, or runaway loop takes down *one cell's attempt*,
+never the campaign.  The contract with the scheduler:
 
 - heartbeat file updated from inside the simulation loop (simulated-cycle
   progress, see :mod:`repro.campaign.heartbeat`);

@@ -36,8 +36,9 @@ from repro.errors import CheckpointError
 from repro.store import atomic_write
 
 MAGIC = b"repro-ckpt\n"
-#: Bump on any incompatible change to the header or section encoding.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the header or section encoding
+#: (2: the memory image is kept as its nonzero pages, uncompressed).
+SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------

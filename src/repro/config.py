@@ -45,6 +45,16 @@ class DefenseKind(enum.Enum):
         return self in (DefenseKind.SPECCFI, DefenseKind.SPECASAN_CFI)
 
 
+#: The defense bars of Figure 6/7 (plus the implicit unsafe baseline).
+FIG6_DEFENSES = [DefenseKind.FENCE, DefenseKind.STT,
+                 DefenseKind.GHOSTMINION, DefenseKind.SPECASAN]
+#: Figure 8 compares restriction fractions for these mechanisms.
+FIG8_DEFENSES = [DefenseKind.FENCE, DefenseKind.STT, DefenseKind.SPECASAN]
+#: Figure 9's three bars.
+FIG9_DEFENSES = [DefenseKind.SPECCFI, DefenseKind.SPECASAN,
+                 DefenseKind.SPECASAN_CFI]
+
+
 class TagPolicy(enum.Enum):
     """How the tagging allocator assigns allocation tags (§6).
 

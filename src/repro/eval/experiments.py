@@ -27,20 +27,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.attacks import run_attack_program, spectre_v1
 from repro.attacks.matrix import evaluate_matrix, MatrixCell, render_matrix
-from repro.config import CORTEX_A76, DefenseKind, SystemConfig
+from repro.config import (CORTEX_A76, FIG6_DEFENSES, FIG8_DEFENSES,
+                          FIG9_DEFENSES, DefenseKind, SystemConfig)
 from repro.errors import ReproError
 from repro.eval.metrics import geomean, normalized, percent
 from repro.system import build_system
 from repro.workloads import parsec_names, spec_names
-
-#: The defense bars of Figure 6/7 (plus the implicit unsafe baseline).
-FIG6_DEFENSES = [DefenseKind.FENCE, DefenseKind.STT,
-                 DefenseKind.GHOSTMINION, DefenseKind.SPECASAN]
-#: Figure 8 compares restriction fractions for these mechanisms.
-FIG8_DEFENSES = [DefenseKind.FENCE, DefenseKind.STT, DefenseKind.SPECASAN]
-#: Figure 9's three bars.
-FIG9_DEFENSES = [DefenseKind.SPECCFI, DefenseKind.SPECASAN,
-                 DefenseKind.SPECASAN_CFI]
 
 
 @dataclass

@@ -1,15 +1,17 @@
 """Scale-out: a pool of fuzzing shards under the shared worker machinery.
 
-A fuzz campaign splits one budget across N worker subprocesses, each a
-``python -m repro.fuzz --worker`` invocation running an independent,
+A fuzz campaign splits one budget across N worker processes, each a
+``python -m repro.fuzz --worker`` invocation (forked from the campaign
+process, which only schedules) running an independent,
 *deterministically derived* slice: shard *i* fuzzes under
 ``derive_seed(root_seed, "fuzz", "shard", i)``, so the campaign's total
 behavior is a pure function of the root seed and the shard count —
 workers share nothing at runtime and their results merge exactly.
 
-Supervision reuses :mod:`repro.campaign.pool` wholesale: heartbeat files
-pulsed from inside the executor loop, wall/stall liveness reaping,
-atomic outcome JSON, and the ``ok | failed | crashed`` exit contract.
+Supervision reuses :mod:`repro.campaign.pool` wholesale: forked launch,
+heartbeat files pulsed from inside the executor loop, wall/stall liveness
+reaping, sleeping on the shards' exit sentinels, atomic outcome JSON, and
+the ``ok | failed | crashed`` exit contract.
 A reaped or crashed shard is retried once under the *same* seed (its
 work is deterministic, so a flaky-environment retry cannot change the
 result it was going to produce); a shard that fails twice is recorded
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.campaign.heartbeat import Heartbeat
-from repro.campaign.pool import AdaptiveWait, launch, WorkerProcess
+from repro.campaign.pool import fork, sleep_until_exit, WorkerProcess
 from repro.errors import FuzzError
 from repro.fuzz import corpus
 from repro.fuzz.executor import FuzzConfig, FuzzExecutor
@@ -102,11 +104,11 @@ def _launch_shard(root: str, config: FuzzConfig, shards: int,
     atomic_write(cfg_path, json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
     argv = [sys.executable, "-m", "repro.fuzz", "--worker", cfg_path,
             "--out", directory]
-    return launch(argv,
-                  out_path=os.path.join(directory, "outcome.json"),
-                  heartbeat_path=os.path.join(directory, "heartbeat"),
-                  log_path=os.path.join(directory, "worker.log"),
-                  timeout_s=WALL_TIMEOUT_S, stall_timeout_s=STALL_TIMEOUT_S)
+    return fork(argv,
+                out_path=os.path.join(directory, "outcome.json"),
+                heartbeat_path=os.path.join(directory, "heartbeat"),
+                log_path=os.path.join(directory, "worker.log"),
+                timeout_s=WALL_TIMEOUT_S, stall_timeout_s=STALL_TIMEOUT_S)
 
 
 def _shard_done(root: str, index: int) -> bool:
@@ -146,19 +148,16 @@ def run_campaign(root: str, config: FuzzConfig, shards: int,
 
     attempts = {index: 0 for index in pending}
     active: Dict[int, WorkerProcess] = {}
-    wait = AdaptiveWait()
+    slots = max(1, min(shards, os.cpu_count() or 1))
     while pending or active:
-        while pending and len(active) < max(1, min(shards, os.cpu_count()
-                                                   or 1)):
+        while pending and len(active) < slots:
             index = pending.pop(0)
             attempts[index] += 1
             active[index] = _launch_shard(root, config, shards, index)
-        progressed = False
         for index, worker in list(active.items()):
             exit_ = worker.exit() or worker.liveness_failure()
             if exit_ is None:
                 continue
-            progressed = True
             if exit_.kind not in ("ok",):
                 worker.reap()
             del active[index]
@@ -171,7 +170,9 @@ def run_campaign(root: str, config: FuzzConfig, shards: int,
                 outcomes[index] = ShardOutcome(
                     index, ok=False, attempts=attempts[index],
                     detail=f"{exit_.kind}: {exit_.error}")
-        wait.sleep(progressed)
+        if active and not (pending and len(active) < slots):
+            sleep_until_exit(list(active.values()),
+                             min(w.next_check_s() for w in active.values()))
 
     good = [shard_dir(root, i) for i in sorted(outcomes)
             if outcomes[i].ok]

@@ -8,11 +8,15 @@ controller reads both in parallel.
 
 from __future__ import annotations
 
+import base64
 import struct
 from repro.config import MemoryConfig, MTEConfig
-from repro.errors import MemoryFault
+from repro.errors import CheckpointError, MemoryFault
 from repro.mte.tags import strip_tag
 from repro.mte.tagstore import TagStorage
+
+#: Checkpoints keep the memory image as its nonzero pages of this size.
+PAGE_BYTES = 4096
 
 
 class MainMemory:
@@ -81,24 +85,38 @@ class MainMemory:
 
     def state_dict(self) -> dict:
         # The backing store is large (16 MiB default) but overwhelmingly
-        # zero; compress it so the checkpoint section stays small.
-        import base64
-        import zlib
-        return {
-            "size": self.size,
-            "data": base64.b64encode(
-                zlib.compress(bytes(self._data), 6)).decode("ascii"),
-            "tags": self.tags.state_dict(),
-        }
+        # zero, so only its nonzero pages are kept; the checkpoint file
+        # compresses each section, so they stay uncompressed here.
+        zero = bytes(PAGE_BYTES)
+        pages = []
+        for offset in range(0, self.size, PAGE_BYTES):
+            page = self._data[offset:offset + PAGE_BYTES]
+            if page != zero[:len(page)]:
+                pages.append([offset, base64.b64encode(page).decode("ascii")])
+        return {"size": self.size, "pages": pages,
+                "tags": self.tags.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
-        import base64
-        import zlib
-        data = bytearray(zlib.decompress(base64.b64decode(state["data"])))
-        if len(data) != int(state["size"]) or len(data) != self.size:
-            from repro.errors import CheckpointError
+        size = int(state["size"])
+        if size != self.size:
             raise CheckpointError(
-                f"memory image size {len(data)} != configured {self.size}",
+                f"memory image size {size} != configured {self.size}",
                 kind="state-mismatch")
+        data = bytearray(size)
+        for offset, encoded in state["pages"]:
+            try:
+                page = base64.b64decode(encoded, validate=True)
+            except (TypeError, ValueError) as err:   # binascii.Error too
+                raise CheckpointError(f"memory page at {offset!r} is not "
+                                      f"base64 ({err})",
+                                      kind="state-mismatch")
+            if not isinstance(offset, int) or offset % PAGE_BYTES \
+                    or not 0 <= offset < size \
+                    or len(page) != min(PAGE_BYTES, size - offset):
+                raise CheckpointError(
+                    f"memory page at {offset!r} ({len(page)} bytes) does "
+                    f"not fit the {size}-byte image",
+                    kind="state-mismatch")
+            data[offset:offset + len(page)] = page
         self._data = data
         self.tags.load_state_dict(state["tags"])

@@ -253,7 +253,8 @@ class WorkerPool:
             self.worker_argv(paths, self.allow_chaos),
             out_path=paths["out"], heartbeat_path=paths["heartbeat"],
             log_path=paths["log"], timeout_s=budget_s,
-            stall_timeout_s=min(self.stall_timeout_s, budget_s))
+            stall_timeout_s=min(self.stall_timeout_s, budget_s),
+            template=True)
         self._active.add(worker)
         try:
             while True:

@@ -1,5 +1,6 @@
 """The shared process-pool core (campaign + service supervision)."""
 
+import functools
 import json
 import os
 import signal
@@ -10,8 +11,9 @@ import time
 import pytest
 
 from repro.campaign import pool
-from repro.campaign.pool import (AdaptiveWait, WorkerProcess, classify_exit,
-                                 launch)
+from repro.campaign.pool import classify_exit
+from repro.campaign.scheduler import CampaignScheduler
+from repro.campaign.cells import CampaignConfig
 from repro.service.supervisor import TEMPLATE_PRELOAD
 
 
@@ -46,10 +48,11 @@ class TestClassifyExit:
 
 
 class TestWorkerProcess:
-    """The launch contract, over :func:`launch` (a spawned interpreter);
-    :class:`TestForkedWorkerProcess` reruns every test over :func:`fork`."""
+    """The launch contract, over :func:`fork` of this process;
+    :class:`TestForkedWorkerProcess` reruns every test over a fork of the
+    template."""
 
-    launcher = staticmethod(launch)
+    launcher = staticmethod(pool.fork)
 
     def _spawn(self, tmp_path, code, **kwargs):
         paths = {name: str(tmp_path / name)
@@ -117,6 +120,42 @@ class TestWorkerProcess:
         exit = self._finish(worker)
         assert exit.kind == "killed" and "signal 9" in exit.error
 
+    def test_traceback_lands_in_the_log(self, tmp_path):
+        worker, paths = self._spawn(
+            tmp_path, "def explode():\n    raise KeyError('boom')\n"
+                      "explode()")
+        exit = self._finish(worker)
+        assert exit.kind == "crashed" and "exit code 1" in exit.error
+        log = pool.log_tail(paths["log"], limit=4000)
+        assert "Traceback" in log and "explode" in log \
+            and "KeyError: 'boom'" in log
+
+    def test_sleep_until_exit_wakes_on_exit(self, tmp_path):
+        worker, _ = self._spawn(tmp_path, "import time; time.sleep(0.2)")
+        started = time.monotonic()
+        pool.sleep_until_exit([worker], 30.0)
+        assert time.monotonic() - started < 10
+        exit = worker.exit()   # confirmed by the wake: no polling needed
+        assert exit is not None and exit.kind == "crashed"
+        assert "exit code 0" in exit.error   # no outcome file written
+
+    def test_sleep_until_exit_times_out_and_wakes_on_fd(self, tmp_path):
+        worker, _ = self._spawn(tmp_path, "import time; time.sleep(600)")
+        started = time.monotonic()
+        pool.sleep_until_exit([worker], 0.05)
+        assert 0.05 <= time.monotonic() - started < 5
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, b"x")
+            started = time.monotonic()
+            pool.sleep_until_exit([worker], 30.0, wake_fd=read_fd)
+            assert time.monotonic() - started < 5
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert worker.exit() is None
+        worker.reap()
+
 
 @pytest.fixture(scope="class")
 def template():
@@ -125,7 +164,7 @@ def template():
 
 @pytest.mark.usefixtures("template")
 class TestForkedWorkerProcess(TestWorkerProcess):
-    launcher = staticmethod(pool.fork)
+    launcher = staticmethod(functools.partial(pool.fork, template=True))
 
     def _probe(self, tmp_path, code):
         """Run ``code`` in a forked job; it dumps its finding as JSON to
@@ -164,7 +203,30 @@ class TestForkedWorkerProcess(TestWorkerProcess):
             pool.fork([sys.executable, "script.py"],
                       out_path=str(tmp_path / "out"),
                       heartbeat_path=str(tmp_path / "hb"),
-                      log_path=str(tmp_path / "log"))
+                      log_path=str(tmp_path / "log"), template=True)
+
+
+class TestSelfFork:
+    """What a fork of a supervisor must not inherit from it."""
+
+    def test_reap_right_after_fork_ends_by_sigterm(self, tmp_path):
+        # The scheduler's own handlers and wakeup fd are installed, as in
+        # its run loop: the child must die to the reap's SIGTERM (-15),
+        # not run the copied handler and wait out the SIGKILL escalation.
+        scheduler = CampaignScheduler(CampaignConfig(),
+                                      str(tmp_path / "run"))
+        with scheduler._signal_scope():
+            worker = pool.fork(
+                [sys.executable, "-c", "import time; time.sleep(600)"],
+                out_path=str(tmp_path / "out"),
+                heartbeat_path=str(tmp_path / "hb"),
+                log_path=str(tmp_path / "log"))
+            started = time.monotonic()
+            worker.reap()
+        scheduler.spans.close()
+        assert time.monotonic() - started < 1.5
+        assert worker.proc.poll() == -signal.SIGTERM
+        assert not scheduler._interrupted
 
 
 class TestWorkerEnv:
@@ -179,27 +241,3 @@ class TestWorkerEnv:
         env = pool.worker_env()
         parts = env["PYTHONPATH"].split(os.pathsep)
         assert "/elsewhere" in parts and len(parts) == 2
-
-
-class TestAdaptiveWait:
-    def test_active_stays_at_base(self):
-        wait = AdaptiveWait(base=0.01, cap=1.0)
-        assert [wait.interval(True) for _ in range(3)] == [0.01] * 3
-
-    def test_idle_backs_off_to_cap(self):
-        wait = AdaptiveWait(base=0.01, cap=0.05)
-        intervals = [wait.interval(False) for _ in range(8)]
-        assert intervals[0] == 0.01
-        assert intervals == sorted(intervals)   # monotone growth
-        assert intervals[-1] == 0.05            # capped
-
-    def test_activity_resets_backoff(self):
-        wait = AdaptiveWait(base=0.01, cap=1.0)
-        for _ in range(5):
-            wait.interval(False)
-        assert wait.interval(True) == 0.01
-        assert wait.interval(False) == 0.01     # streak restarted
-
-    def test_cap_never_below_base(self):
-        wait = AdaptiveWait(base=0.2, cap=0.01)
-        assert wait.interval(False) <= wait.cap and wait.cap == 0.2

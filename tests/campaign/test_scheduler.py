@@ -103,8 +103,7 @@ class TestStragglerRecovery:
             self, tmp_path):
         config = quick_config(max_retries=1, stall_timeout_s=0.3)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv,
-                                      poll_interval_s=0.01)
+                                      worker_argv=sleeper_argv)
         outcome = scheduler.run()
         assert not outcome.ok
         assert len(outcome.failed) == 4
@@ -123,8 +122,7 @@ class TestStragglerRecovery:
         config = quick_config(benchmarks=("505.mcf_r",), max_retries=0,
                               timeout_s=0.3, stall_timeout_s=60.0)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv,
-                                      poll_interval_s=0.01)
+                                      worker_argv=sleeper_argv)
         outcome = scheduler.run()
         assert not outcome.ok
         kinds = {f.kind for failures in outcome.failed.values()
@@ -147,8 +145,7 @@ class TestRetryRecovery:
 
         config = quick_config(max_retries=1)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=flaky_argv,
-                                      poll_interval_s=0.01)
+                                      worker_argv=flaky_argv)
         outcome = scheduler.run()
         assert outcome.ok
         assert len(outcome.completed) == 4
@@ -170,8 +167,7 @@ class TestGracefulInterrupt:
         config = quick_config()
         run_dir = str(tmp_path / "run")
         scheduler = CampaignScheduler(config, run_dir,
-                                      worker_argv=sleeper_argv,
-                                      poll_interval_s=0.01)
+                                      worker_argv=sleeper_argv)
         timer = threading.Timer(
             0.4, lambda: signal.raise_signal(signal.SIGTERM))
         timer.start()
@@ -188,12 +184,38 @@ class TestGracefulInterrupt:
         assert report["status"] == "interrupted" and report["resumable"]
         assert not report["ok"]
 
+    def test_sigterm_from_another_thread_wakes_the_loop(self, tmp_path):
+        # Sleeper workers never heartbeat, and with a 60 s stall timeout
+        # the loop's next liveness check is a minute away: only the wakeup
+        # fd can end its sleep promptly when another thread takes the
+        # signal.
+        import signal
+        import threading
+        import time
+
+        config = quick_config(stall_timeout_s=60.0)
+        scheduler = CampaignScheduler(config, str(tmp_path / "run"),
+                                      worker_argv=sleeper_argv)
+        raised = []
+
+        def terminate():
+            raised.append(time.monotonic())
+            signal.raise_signal(signal.SIGTERM)
+
+        timer = threading.Timer(0.3, terminate)
+        timer.start()
+        try:
+            outcome = scheduler.run()
+        finally:
+            timer.cancel()
+        assert outcome.interrupted and outcome.completed == {}
+        assert raised and time.monotonic() - raised[0] < 2.0
+
     def test_interrupt_flag_stops_loop_without_signal(self, tmp_path):
         # The same path is reachable programmatically (non-main threads,
         # embedding services): interrupt() before run() returns instantly.
         scheduler = CampaignScheduler(quick_config(), str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv,
-                                      poll_interval_s=0.01)
+                                      worker_argv=sleeper_argv)
         scheduler.interrupt()
         outcome = scheduler.run()
         assert outcome.interrupted and outcome.completed == {}
@@ -205,8 +227,7 @@ class TestGracefulInterrupt:
         config = quick_config()
         run_dir = str(tmp_path / "run")
         interrupted = CampaignScheduler(config, run_dir,
-                                        worker_argv=sleeper_argv,
-                                        poll_interval_s=0.01)
+                                        worker_argv=sleeper_argv)
         timer = threading.Timer(
             0.3, lambda: signal.raise_signal(signal.SIGTERM))
         timer.start()

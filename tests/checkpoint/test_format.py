@@ -6,6 +6,7 @@ the degradation ladder upstream (generation walk-back, straight-through
 re-run) dispatches on those kinds and must never see a half-trusted file.
 """
 
+import json
 import os
 
 import pytest
@@ -105,6 +106,22 @@ class TestFailClosed:
         with pytest.raises(CheckpointError) as err:
             read_checkpoint(str(path))
         assert err.value.kind == expected
+
+    def test_previous_schema_fails_closed(self, tmp_path):
+        # Schema 1 kept the memory image as one zlib blob: such a file is
+        # refused as schema-skew, never misread.
+        path = str(tmp_path / "a.ckpt")
+        write_sample(path)
+        header, offset = read_header(path)
+        with open(path, "rb") as handle:
+            payloads = handle.read()[offset:]
+        header["schema"] = 1
+        with open(path, "wb") as handle:
+            handle.write(MAGIC + json.dumps(header, sort_keys=True).encode()
+                         + b"\n" + payloads)
+        with pytest.raises(CheckpointError) as err:
+            read_checkpoint(path)
+        assert err.value.kind == "schema-skew"
 
     def test_config_skew_primitive_defeats_expectation(self, tmp_path):
         path = str(tmp_path / "a.ckpt")

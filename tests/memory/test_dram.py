@@ -1,9 +1,11 @@
 """Main memory + tag storage."""
 
+import base64
+
 import pytest
 
-from repro.errors import MemoryFault
-from repro.memory.dram import MainMemory
+from repro.errors import CheckpointError, MemoryFault
+from repro.memory.dram import PAGE_BYTES, MainMemory
 from repro.mte.tags import with_key
 
 
@@ -54,3 +56,43 @@ class TestTags:
         memory.tag_range(0x2000, 16, 1)
         memory.tag_range(0x2030, 16, 9)
         assert memory.line_locks(0x2000, 64) == (1, 0, 0, 9)
+
+
+#: One well-formed page payload.
+PAGE = base64.b64encode(b"\x01" * PAGE_BYTES).decode("ascii")
+
+
+class TestCheckpointState:
+    """The memory image checkpoints as its nonzero pages."""
+
+    def test_round_trip_keeps_only_nonzero_pages(self, memory):
+        memory.write(0x1000, b"hello")
+        memory.write(PAGE_BYTES * 3 - 2, b"span")   # straddles two pages
+        state = memory.state_dict()
+        assert [offset for offset, _ in state["pages"]] == \
+            [0x1000, PAGE_BYTES * 2, PAGE_BYTES * 3]
+        restored = MainMemory()
+        restored.load_state_dict(state)
+        assert restored._data == memory._data
+
+    @pytest.mark.parametrize("page", [
+        [1, PAGE],
+        [16 * 1024 * 1024, PAGE],
+        [-PAGE_BYTES, PAGE],
+        [0, "AAAA"],
+        [0, "not base64!"],
+        ["0", PAGE],
+    ], ids=["misaligned", "past-end", "negative", "short", "bad-base64",
+            "str-offset"])
+    def test_malformed_page_is_state_mismatch(self, memory, page):
+        state = memory.state_dict()
+        state["pages"] = [page]
+        with pytest.raises(CheckpointError) as err:
+            MainMemory().load_state_dict(state)
+        assert err.value.kind == "state-mismatch"
+
+    def test_size_mismatch_is_state_mismatch(self, memory):
+        state = dict(memory.state_dict(), size=memory.size // 2)
+        with pytest.raises(CheckpointError) as err:
+            MainMemory().load_state_dict(state)
+        assert err.value.kind == "state-mismatch"
