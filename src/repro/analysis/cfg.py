@@ -39,24 +39,21 @@ def address_taken(program: Program) -> FrozenSet[int]:
     Scans every instruction immediate and every aligned 64-bit word of every
     data segment for values that (after stripping the MTE key byte) land on
     an instruction of ``program`` — the static over-approximation of "may be
-    an indirect-branch target".
+    an indirect-branch target".  Data is mostly repeats (a 64 KiB probe
+    array holds a handful of distinct words), so the values are collected
+    into one set first and each distinct value is tested once.
     """
     program.link()
+    values = {instr.imm for instr in program.instructions
+              if instr.imm is not None}
+    for segment in program.data_segments:
+        words = len(segment.data) // 8
+        values.update(struct.unpack(f"<{words}Q", segment.data[:words * 8]))
     taken = set()
-
-    def note(value: int) -> None:
+    for value in values:
         address = strip_tag(value & (2**64 - 1))
         if program.fetch(address) is not None:
             taken.add(address)
-
-    for instr in program.instructions:
-        if instr.imm is not None:
-            note(instr.imm)
-    for segment in program.data_segments:
-        data = segment.data
-        usable = len(data) - len(data) % 8
-        for (word,) in struct.iter_unpack("<Q", data[:usable]):
-            note(word)
     return frozenset(taken)
 
 

@@ -31,6 +31,7 @@ flows to every return site.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -64,7 +65,7 @@ class Value:
 
     def join(self, other: "Value") -> "Value":
         """Least upper bound of two values."""
-        if self == other:
+        if self is other or self == other:
             return self
         consts: Optional[Tuple[int, ...]]
         if self.consts is None or other.consts is None:
@@ -98,12 +99,23 @@ def const_value(*values: int) -> Value:
     return Value(tuple(sorted({v & MASK64 for v in values})))
 
 
+#: ``const_value(0)``: XZR, and AND/MUL with a zero operand.
+_ZERO = const_value(0)
+
+
+def _imm_value(instr: Instruction) -> Value:
+    """``const_value(instr.imm or 0)``: the immediate operand."""
+    return Value(((instr.imm or 0) & MASK64,))
+
+
 def _tainted(consts: Optional[Tuple[int, ...]], *sources: Value) -> Value:
-    return Value(consts,
-                 any(s.attacker for s in sources),
-                 any(s.secret for s in sources),
-                 any(s.loaded for s in sources),
-                 any(s.stale for s in sources))
+    attacker = secret = loaded = stale = False
+    for source in sources:
+        attacker |= source.attacker
+        secret |= source.secret
+        loaded |= source.loaded
+        stale |= source.stale
+    return Value(consts, attacker, secret, loaded, stale)
 
 
 def _to_signed(v: int) -> int:
@@ -132,7 +144,7 @@ def _binop(op: Opcode, a: Value, b: Value) -> Value:
         # The result is exactly zero no matter the other operand; the
         # dependency is purely microarchitectural, so taint drops too
         # (needed for the RIDL delay chain's AND-with-XZR collapse).
-        return const_value(0)
+        return _ZERO
     consts: Optional[Tuple[int, ...]] = None
     if (a.consts is not None and b.consts is not None
             and len(a.consts) * len(b.consts) <= PAIR_CAP):
@@ -140,7 +152,8 @@ def _binop(op: Opcode, a: Value, b: Value) -> Value:
         vals = {fn(x, y) & MASK64 for x in a.consts for y in b.consts}
         if len(vals) <= CONST_CAP:
             consts = tuple(sorted(vals))
-    return _tainted(consts, a, b)
+    return Value(consts, a.attacker or b.attacker, a.secret or b.secret,
+                 a.loaded or b.loaded, a.stale or b.stale)
 
 
 # -- per-instruction facts ----------------------------------------------------
@@ -227,17 +240,28 @@ class _Context:
         self.cfg = cfg
         self.secret_ranges = secret_ranges
         self.stale_loads = stale_loads
-        self._summaries: Dict[Tuple[str, int], FrozenSet[int]] = {}
+        # Segments never overlap, so the only one that can hold an address
+        # is the last to start at or below it.  An empty segment holds no
+        # byte (and may share its start with another), so it stays out.
+        self._segments = sorted(
+            (seg for seg in program.data_segments if seg.data),
+            key=lambda seg: seg.address)
+        self._starts = [seg.address for seg in self._segments]
+        self._ends = [seg.end for seg in self._segments]
+        self._summaries: Dict[Tuple[int, int], FrozenSet[int]] = {}
 
     def segment_at(self, address: int, width: int = 1) -> Optional[DataSegment]:
-        for seg in self.program.data_segments:
-            if seg.address <= address and address + width <= seg.end:
-                return seg
+        index = bisect_right(self._starts, address) - 1
+        if index >= 0 and address + width <= self._ends[index]:
+            return self._segments[index]
         return None
 
     def overlaps_secret(self, address: int, width: int) -> bool:
-        return any(lo < address + width and address < hi
-                   for lo, hi in self.secret_ranges)
+        end = address + width
+        for lo, hi in self.secret_ranges:
+            if lo < end and address < hi:
+                return True
+        return False
 
     def segment_overlaps_secret(self, seg: DataSegment) -> bool:
         return any(lo < seg.end and seg.address < hi
@@ -245,7 +269,7 @@ class _Context:
 
     def summary(self, seg: DataSegment, width: int) -> FrozenSet[int]:
         """Distinct width-byte values stored anywhere in ``seg``."""
-        cache_key = (seg.name, width)
+        cache_key = (seg.address, width)
         if cache_key not in self._summaries:
             if width == 1:
                 vals = frozenset(seg.data)
@@ -265,7 +289,7 @@ def _read(state: State, reg: Optional[int]) -> Value:
     if reg is None:
         return UNKNOWN
     if reg == XZR:
-        return const_value(0)
+        return _ZERO
     return state.get(reg, UNKNOWN)
 
 
@@ -282,19 +306,30 @@ def _join_states(a: Optional[State], b: State,
         return dict(b)
     out = dict(a)
     for reg, value in b.items():
-        if reg in out:
-            joined = value.join(out[reg])
+        old = out.get(reg)
+        if old is None:
+            out[reg] = _forget(value)
+        elif old is not value:
+            # ``old.join`` keeps ``old`` itself when nothing changes, so
+            # the caller's state comparison meets the same object.
+            joined = old.join(value)
             if (widened is not None and joined.consts is None
                     and value.consts is not None
-                    and out[reg].consts is not None):
+                    and old.consts is not None):
                 widened(reg)
             out[reg] = joined
-        else:
-            out[reg] = UNKNOWN.join(value)
     for reg in a:
         if reg not in b:
-            out[reg] = out[reg].join(UNKNOWN)
+            out[reg] = _forget(out[reg])
     return out
+
+
+def _forget(value: Value) -> Value:
+    """``value.join(UNKNOWN)``: the same taint, no constants."""
+    if value.consts is None:
+        return value
+    return Value(None, value.attacker, value.secret, value.loaded,
+                 value.stale)
 
 
 def _resolve_load(ctx: _Context, instr: Instruction, addr_val: Value,
@@ -366,7 +401,7 @@ def _address_value(state: State, instr: Instruction) -> Tuple[Value, Value, Valu
     if instr.rm is not None:
         offset = _read(state, instr.rm)
     else:
-        offset = const_value(instr.imm or 0)
+        offset = _imm_value(instr)
     return _binop(Opcode.ADD, base, offset), base, offset
 
 
@@ -377,19 +412,19 @@ def _step(ctx: _Context, instr: Instruction, state: State,
     addr = instr.address
     if op is Opcode.MOV:
         if instr.rn is None:
-            _write(state, instr.rd, const_value(instr.imm or 0))
+            _write(state, instr.rd, _imm_value(instr))
         else:
             _write(state, instr.rd, _read(state, instr.rn))
     elif op in _ALU_OPS:
         rhs = (_read(state, instr.rm) if instr.rm is not None
-               else const_value(instr.imm or 0))
+               else _imm_value(instr))
         lhs = _read(state, instr.rn)
         _write(state, instr.rd, _binop(op, lhs, rhs))
         if facts is not None and op in (Opcode.MUL, Opcode.UDIV):
             facts.contention[addr] = _tainted(None, lhs, rhs)
     elif op is Opcode.CMP:
         rhs = (_read(state, instr.rm) if instr.rm is not None
-               else const_value(instr.imm or 0))
+               else _imm_value(instr))
         state[FLAGS_REG] = _tainted(None, _read(state, instr.rn), rhs)
     elif op in (Opcode.BL, Opcode.BLR):
         if facts is not None and op is Opcode.BLR:
@@ -408,7 +443,7 @@ def _step(ctx: _Context, instr: Instruction, state: State,
         if facts is not None:
             facts.branches[addr] = BranchFact(
                 instr, condition=_read(state, instr.rn))
-    elif instr.is_return:
+    elif op is Opcode.RET:
         # No dataflow effect, but the RSB windows key off this fact.
         if facts is not None:
             facts.branches[addr] = BranchFact(instr)

@@ -265,6 +265,7 @@ def start_template(preload: Sequence[str]) -> None:
 def _run_argv(argv: List[str], log_path: str) -> None:
     """A forked worker's body: ``argv`` with ``python -m`` / ``-c``
     semantics, after undoing what the fork copied from the supervisor.
+    A ``-m`` module exits with what its ``main(args)`` returns.
 
     The supervisor's SIGTERM/SIGINT handlers and signal wakeup fd give
     way to a fresh interpreter's defaults before the signals are
@@ -286,9 +287,16 @@ def _run_argv(argv: List[str], log_path: str) -> None:
                       errors="backslashreplace")
     _, flag, target, *args = argv
     if flag == "-m":
-        import runpy
-        sys.argv = [target, *args]   # run_module puts the file in argv[0]
-        runpy.run_module(target, run_name="__main__", alter_sys=True)
+        # The fork has imported the module already; running it again as
+        # ``__main__`` (runpy) would execute it twice and warn that it was
+        # found in sys.modules.  Call its ``main`` instead, resolving a
+        # package to its ``__main__`` submodule as ``-m`` does.
+        import importlib
+        module = importlib.import_module(target)
+        if hasattr(module, "__path__"):
+            module = importlib.import_module(target + ".__main__")
+        sys.argv = [module.__file__, *args]
+        sys.exit(module.main(args))
     else:
         import types
         sys.argv = ["-c", *args]
@@ -345,7 +353,8 @@ def fork(argv: List[str], *, out_path: str, heartbeat_path: str,
          template: bool = False) -> WorkerProcess:
     """Launch one worker running ``argv`` in a fresh fork.
 
-    ``argv`` is ``[python, "-m", module, *args]`` or ``[python, "-c",
+    ``argv`` is ``[python, "-m", module, *args]`` (a module or package
+    whose ``main(argv)`` returns the exit code) or ``[python, "-c",
     code, *args]``; it runs unchanged in a child whose imports are
     already done: a fork of this process, or with ``template`` a fork of
     the template (restarted if it died).  This process must then be

@@ -1,9 +1,15 @@
 """CFG construction: blocks, edges, address-taken targets, well-formedness."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cfg import address_taken, build_cfg, successors
 from repro.isa import assemble
+from repro.isa.instructions import INSTR_BYTES, Instruction, Opcode
+from repro.isa.program import TEXT_BASE, DataSegment, Program
+from repro.mte.tags import strip_tag, with_key
 
 
 def test_straight_line_is_one_block():
@@ -217,3 +223,64 @@ def test_unresolvable_branch_falls_back_to_over_approximation():
     fn_b = cfg.block_of_addr[program.address_of("fn_b")]
     assert (fn_a, "indirect") in succs
     assert (fn_b, "indirect") in succs
+
+
+# -- address_taken against a per-word reference scan -------------------------
+
+
+def _reference_address_taken(program):
+    """One check per immediate and per aligned 8-byte data word."""
+    program.link()
+    taken = set()
+    values = [instr.imm for instr in program.instructions
+              if instr.imm is not None]
+    for segment in program.data_segments:
+        usable = len(segment.data) - len(segment.data) % 8
+        values.extend(word for (word,) in
+                      struct.iter_unpack("<Q", segment.data[:usable]))
+    for value in values:
+        address = strip_tag(value & (2**64 - 1))
+        if program.fetch(address) is not None:
+            taken.add(address)
+    return frozenset(taken)
+
+
+@st.composite
+def _programs(draw):
+    count = draw(st.integers(1, 8))
+    end = TEXT_BASE + count * INSTR_BYTES
+    # Instruction starts, mid-instruction bytes, one past the text end,
+    # below the text, MTE-keyed and arbitrary 64-bit values.
+    address = st.integers(TEXT_BASE - INSTR_BYTES, end)
+    value = st.one_of(
+        address,
+        st.builds(with_key, address, st.integers(0, 15)),
+        st.integers(0, 2**64 - 1))
+    # Negative immediates, some of them a sign-extended tagged pointer.
+    negative = st.one_of(
+        st.integers(-2**63, -1),
+        st.builds(lambda a: (a | 0xFF << 56) - 2**64, address))
+    immediate = st.one_of(st.none(), value, negative)
+    # A ragged tail (never scanned): random bytes or a cut-off word.
+    tail = st.one_of(
+        st.binary(max_size=7),
+        st.builds(lambda word, keep: struct.pack("<Q", word)[:keep],
+                  value, st.integers(1, 7)))
+    program = Program()
+    for _ in range(count):
+        program.add(Instruction(Opcode.MOV, rd=0, imm=draw(immediate)))
+    for index in range(draw(st.integers(0, 4))):
+        words = draw(st.lists(value, max_size=12))
+        if draw(st.booleans()):   # a run of repeats, like a probe array
+            words = words * draw(st.integers(2, 50))
+        data = b"".join(struct.pack("<Q", word) for word in words)
+        data += draw(tail)
+        program.add_segment(DataSegment(f"seg{index}",
+                                        0x10000 * (index + 1), data))
+    return program
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_programs())
+def test_address_taken_matches_per_word_scan(program):
+    assert address_taken(program) == _reference_address_taken(program)

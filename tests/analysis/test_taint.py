@@ -1,7 +1,12 @@
 """Taint/constant dataflow: values, loads, secrets, delayed branches."""
 
-from repro.analysis.taint import Value, analyze, const_value
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.cfg import build_cfg
+from repro.analysis.modular import analyze_modular
+from repro.analysis.taint import Value, _Context, analyze, const_value
 from repro.isa import assemble
+from repro.isa.program import DataSegment
 
 SECRET = [(0x4100, 0x4110)]
 
@@ -61,6 +66,24 @@ def test_unknown_offset_load_summarizes_segment():
     load = result.loads[0x1008]
     assert not load.resolved
     assert load.result.consts == (1, 2, 3)
+
+
+def test_same_named_segments_summarize_their_own_words():
+    # The assembler checks segments for overlap, not for unique names, so
+    # the per-segment summary must not be shared by name.
+    program = assemble("""
+        .data tbl 0x10000 words 1 2 3
+        .data tbl 0x20000 words 7 8 9
+        LDR X3, [X9]
+        MOV X1, #0x10000
+        LDR X2, [X1, X3]
+        MOV X4, #0x20000
+        LDR X5, [X4, X3]
+        HALT
+    """)
+    for result in (analyze(program), analyze_modular(program)):
+        assert result.loads[0x1008].result.consts == (1, 2, 3)
+        assert result.loads[0x1010].result.consts == (7, 8, 9)
 
 
 def test_transient_out_of_segment_offset_still_summarizes():
@@ -212,3 +235,62 @@ def test_stale_loads_mark_results():
 def test_repr_is_compact():
     assert repr(Value()) == "Value(?)"
     assert "0x4" in repr(const_value(4))
+
+
+# -- the segment index against the linear scan it replaced -------------------
+
+
+def _linear_segment_at(program, address, width):
+    for seg in program.data_segments:
+        if seg.address <= address and address + width <= seg.end:
+            return seg
+    return None
+
+
+def _context(program):
+    return _Context(program, build_cfg(program), (), frozenset())
+
+
+def test_segment_index_skips_an_empty_segment_at_the_same_start():
+    # add_segment lets an empty segment share a start with a full one (they
+    # share no byte); a bisect over every start would land on the empty one.
+    program = assemble("HALT")
+    full = program.add_segment(DataSegment("full", 0x4000, bytes(16)))
+    program.add_segment(DataSegment("empty", 0x4000))
+    program.add_segment(DataSegment("after", 0x4010))
+    ctx = _context(program)
+    assert ctx.segment_at(0x4000, 8) is full
+    assert ctx.segment_at(0x400F) is full
+    assert ctx.segment_at(0x4010) is None
+
+
+@st.composite
+def _segment_layouts(draw):
+    """Non-overlapping segments (empty ones included, some sharing a start
+    with the next) added in any order, plus the addresses to look up."""
+    spans, cursor = [], 0x4000
+    for _ in range(draw(st.integers(0, 6))):
+        cursor += draw(st.sampled_from([0, 0, 1, 8, 24]))
+        size = draw(st.sampled_from([0, 0, 1, 7, 8, 16, 24]))
+        spans.append((cursor, size))
+        cursor += size
+    program = assemble("HALT")
+    for index, (start, size) in enumerate(draw(st.permutations(spans))):
+        program.add_segment(DataSegment(f"s{index}", start, bytes(size)))
+    probes = [0x3FFF, cursor, cursor + 1]
+    for start, size in spans:
+        probes += [start - 1, start, start + 1, start + size - 8,
+                   start + size - 1, start + size]
+    probes += draw(st.lists(st.integers(0x3FF0, cursor + 16), max_size=8))
+    return program, probes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_segment_layouts())
+def test_segment_index_matches_linear_scan(layout):
+    program, probes = layout
+    ctx = _context(program)
+    for address in probes:
+        for width in (1, 8, 16):
+            assert ctx.segment_at(address, width) \
+                is _linear_segment_at(program, address, width)

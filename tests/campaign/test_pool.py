@@ -130,6 +130,32 @@ class TestWorkerProcess:
         assert "Traceback" in log and "explode" in log \
             and "KeyError: 'boom'" in log
 
+    def _run_module(self, tmp_path, *argv):
+        paths = {name: str(tmp_path / name) for name in ("out", "hb", "log")}
+        worker = self.launcher([sys.executable, "-m", *argv],
+                               out_path=paths["out"],
+                               heartbeat_path=paths["hb"],
+                               log_path=paths["log"])
+        return worker.proc.wait(timeout=30), pool.log_tail(paths["log"],
+                                                           limit=4000)
+
+    def test_module_runs_its_main_once(self, tmp_path):
+        # The fork imported the module already: -m calls its main and
+        # exits with main's code, instead of running the module a second
+        # time as __main__ (runpy's "found in sys.modules" warning, which
+        # reaches the log from a template fork; a fork of this test
+        # process keeps pytest's warning capture).
+        code, log = self._run_module(tmp_path, "repro.campaign.worker",
+                                     "--help")
+        assert code == 0 and "usage: python -m repro.campaign.worker" in log
+        assert "found in sys.modules" not in log
+        code, log = self._run_module(tmp_path, "repro.campaign.worker")
+        assert code == 2 and "required" in log
+
+    def test_package_module_runs_its_dunder_main(self, tmp_path):
+        code, log = self._run_module(tmp_path, "repro.fuzz", "--help")
+        assert code == 0 and "usage: python -m repro.fuzz" in log
+
     def test_sleep_until_exit_wakes_on_exit(self, tmp_path):
         worker, _ = self._spawn(tmp_path, "import time; time.sleep(0.2)")
         started = time.monotonic()

@@ -5,14 +5,17 @@ figure-9 sweep (4 cells, ~1s each); failure-path tests swap the worker argv
 for stubs so nothing real has to hang or crash slowly.
 """
 
+import glob
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 import pytest
 
 from repro.campaign import (CampaignConfig, CampaignScheduler, ResultStore)
+from repro.campaign import pool
 from repro.errors import ManifestMismatch
 from repro.eval.experiments import MISSING_CELL
 
@@ -96,6 +99,25 @@ class TestEndToEnd:
         changed = quick_config(target_instructions=999)
         with pytest.raises(ManifestMismatch):
             CampaignScheduler(changed, run_dir).run(resume=True)
+
+
+def test_attempt_logs_show_one_module_run(tmp_path):
+    # Through the CLI, so the attempts print their warnings as a user's
+    # would (a fork of this test process inherits its warning capture).
+    # Each cell is a fork that imported repro.campaign.worker already; it
+    # must call the worker's main, not run the module again as __main__.
+    run_dir = str(tmp_path / "run")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.campaign", "--figure", "9",
+         "--benchmarks", "505.mcf_r", "--target-instructions", "300",
+         "--warm-runs", "0", "--run-dir", run_dir],
+        env=pool.worker_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    logs = glob.glob(os.path.join(run_dir, "work", "*.log"))
+    assert len(logs) == 4
+    for path in logs:
+        with open(path, encoding="utf-8") as handle:
+            assert "found in sys.modules" not in handle.read(), path
 
 
 class TestStragglerRecovery:

@@ -1,6 +1,7 @@
 """End-to-end service tests over real TCP and real worker subprocesses."""
 
 import asyncio
+import glob
 import json
 import os
 import signal
@@ -79,6 +80,26 @@ class TestLintEndToEnd:
         assert warm["cached"] is True, "restart must serve from cache"
         assert report["status"] == "drained"
         assert report["stats"]["service"]["cache"]["hits"] >= 1
+
+    def test_worker_log_shows_one_module_run(self, tmp_path):
+        # The template preloads repro.service.worker; the forked job
+        # calls its main rather than running the module again.
+        async def scenario():
+            service = await start_service(config_for(tmp_path))
+            client = await _Client.connect(service.port)
+            reply = await client.request(
+                {"id": "r1", "op": "lint", "source": CLEAN_SOURCE,
+                 "secret_ranges": [[0x4100, 0x4110]]})
+            client.close()
+            await stop_service(service)
+            return reply
+
+        assert asyncio.run(scenario())["ok"] is True
+        logs = glob.glob(str(tmp_path / "state" / "work" / "*.log"))
+        assert logs
+        for path in logs:
+            with open(path, encoding="utf-8") as handle:
+                assert "found in sys.modules" not in handle.read(), path
 
     def test_ping_and_stats_are_inline(self, tmp_path):
         async def scenario():
