@@ -27,7 +27,9 @@ on:
 Records persist as checksummed JSONL through :mod:`repro.store`
 (DESIGN.md § "Durable state"): whole-file atomic rewrites, and
 corruption-tolerant loads (torn lines, bad checksums and foreign schemas
-are skipped and counted, never fatal).
+are skipped and counted, never fatal).  Since every key hashes the
+environment fingerprint, :meth:`SummaryCache.for_program` keeps one file
+per environment, so a run loads and rewrites only records it can hit.
 
 :func:`function_digests` / :func:`dirty_functions` expose the
 reverse-call-graph dirtying relation by *name*: editing one function
@@ -50,8 +52,12 @@ from repro.analysis.modular.callgraph import CallGraph
 from repro.isa.program import Program
 from repro.store import canonical, load_records, write_records
 
-#: Persistent record schema; bump on any layout or semantics change.
-SUMMARY_SCHEMA = "repro-summary/1"
+#: Persistent record schema; bump on any layout change.  A change in
+#: analyzer semantics (what a region's facts are) bumps both this and
+#: :data:`repro.service.cache.CACHE_SCHEMA`, so neither cache serves an
+#: older analyzer's answer.  2: unknown-offset load summaries are keyed by
+#: segment address, not name.
+SUMMARY_SCHEMA = "repro-summary/2"
 
 
 def _sha(text: str) -> str:
@@ -294,6 +300,21 @@ class SummaryCache:
     edited function's content digest changes, so its old records simply
     never match again (they stay in the file, unread).
     """
+
+    @classmethod
+    def for_program(cls, directory: str, program: Program,
+                    secret_ranges: Sequence[Tuple[int, int]],
+                    ) -> "SummaryCache":
+        """The cache backed by ``directory/<environment>.jsonl``.
+
+        Every region key hashes :func:`environment_fingerprint`, so only a
+        program with the same fingerprint can hit a record: one file per
+        environment holds all of them, and nothing the run cannot use is
+        read or rewritten.  Runs in different environments never share a
+        file, so neither drops the other's records when it flushes.
+        """
+        env = environment_fingerprint(program, secret_ranges)
+        return cls(os.path.join(directory, f"{env}.jsonl"))
 
     def __init__(self, path: Optional[str] = None):
         self.path = path

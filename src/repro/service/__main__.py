@@ -123,6 +123,22 @@ class _Checks:
 # selftest: functional pass, no fault injection
 # ----------------------------------------------------------------------
 
+def _edit_pair():
+    """(source, the source with one function edited, secret ranges) of
+    the modular bench fixture, at two worker functions."""
+    from repro.analysis.modular.fixtures import bench_program
+    from repro.isa.disasm import disassemble
+    base, secret_ranges = bench_program(functions=2)
+    edited, _ = bench_program(functions=2, edits={1: 7})
+    return (disassemble(base), disassemble(edited),
+            [list(r) for r in secret_ranges])
+
+
+async def _summary_hits(client: _Client) -> float:
+    stats = await client.request({"id": "sh", "op": "stats"})
+    return stats["stats"]["service"]["summary"]["hits"]
+
+
 async def _selftest(state_dir: str) -> bool:
     checks = _Checks()
     config = ServiceConfig(
@@ -152,6 +168,27 @@ async def _selftest(state_dir: str) -> bool:
          "secret_ranges": [[0x4100, 0x4110]]})
     checks.check("source lint ok", r3.get("ok") is True
                  and r3.get("gadgets") == [], json.dumps(r3)[:200])
+
+    # Summary reuse through real forked workers: resubmitting a linted
+    # program with one function edited re-analyzes only what the edit
+    # dirtied, and still answers as in-process spec-lint does.
+    base, edited, secret_ranges = _edit_pair()
+    await client.request({"id": "e1", "op": "lint", "source": base,
+                          "secret_ranges": secret_ranges})
+    hits_before = await _summary_hits(client)
+    e2 = await client.request({"id": "e2", "op": "lint", "source": edited,
+                               "secret_ranges": secret_ranges})
+    hits_after = await _summary_hits(client)
+    from repro.service.worker import run_job
+    whole = run_job({"source": edited, "secret_ranges": secret_ranges})
+    checks.check("one-function edit answers as in-process spec-lint",
+                 e2.get("ok") is True and e2.get("cached") is False
+                 and e2.get("verdicts") == whole["verdicts"]
+                 and e2.get("gadgets") == whole["gadgets"],
+                 json.dumps(e2)[:200])
+    checks.check("the edit reuses summaries",
+                 hits_after > hits_before,
+                 f"service.summary.hits {hits_before} -> {hits_after}")
 
     r4 = await client.request(
         {"id": "c1", "op": "lint", "witness": "pht", "confirm": True,

@@ -23,7 +23,12 @@ from typing import Dict, Optional, Tuple
 from repro.store import append_record, load_records
 
 #: Bump when the cached-record layout changes; stale records re-compute.
-CACHE_SCHEMA = 1
+#: A change in analyzer semantics bumps both this and
+#: ``repro.analysis.modular.incremental.SUMMARY_SCHEMA``: a verdict is
+#: keyed on request content alone, so only the schema retires one that an
+#: older analyzer computed.  2: unknown-offset load summaries are keyed by
+#: segment address, not name.
+CACHE_SCHEMA = 2
 
 
 class VerdictCache:

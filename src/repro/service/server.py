@@ -518,6 +518,7 @@ class SpecLintService:
                              parent_id=ctx.root, pool=pool.name,
                              key=key) as dispatch:
             row = dict(await pool.submit(job, key=key, deadline=deadline))
+        self.stats.observe_summary(row.get("summary"))
         timings = row.get("timings", {})
         now = self.spans.now()
         analysis_ms = float(timings.get("analysis_ms", 0.0))
@@ -608,10 +609,10 @@ class SpecLintService:
             kind="degraded-unavailable")
 
     def _job_of(self, request: Request, trace: str = "") -> dict:
-        # ``summary_dir`` points workers at the shared persistent summary
-        # cache: function-granular reuse beneath the whole-program verdict
-        # cache (a resubmission editing one function only re-analyzes it
-        # and its transitive callers).
+        # ``summary_dir`` points workers at the persistent summary cache,
+        # one file per analysis environment: function-granular reuse
+        # beneath the whole-program verdict cache (a resubmission editing
+        # one function only re-analyzes it and its transitive callers).
         return {"source": request.source, "witness": request.witness,
                 "secret_ranges": [list(r) for r in request.secret_ranges],
                 "defense": request.defense.value,

@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.gadgets import find_gadgets, leaks_under
+from repro.analysis.taint import analyze
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import EXIT_TYPED_FAILURE
 from repro.config import CORTEX_A76, DefenseKind
@@ -128,19 +129,23 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
     t_start = time.monotonic()
     program, secret_ranges, attack = _subject_program(job)
     beat(1)
-    problems = build_cfg(program).check_well_formed()
+    cfg = build_cfg(program)
+    problems = cfg.check_well_formed()
     # Function-granular reuse beneath the server's whole-program verdict
     # cache: a job carrying ``summary_dir`` lints through the modular
     # engine against the persistent summary cache, so a resubmission that
     # edited one function re-analyzes only it and its transitive callers.
+    # The cache is the job's environment's own file, the only records it
+    # can hit.
     summary: Optional[dict] = None
     if job.get("summary_dir"):
         from repro.analysis.modular import SummaryCache, modular_analysis
         from repro.analysis.options import AnalysisOptions
-        cache = SummaryCache(os.path.join(job["summary_dir"],
-                                          "summaries.jsonl"))
+        cache = SummaryCache.for_program(job["summary_dir"], program,
+                                         secret_ranges)
         options = AnalysisOptions.summary_backed(cache=cache)
-        run = modular_analysis(program, secret_ranges, options=options)
+        run = modular_analysis(program, secret_ranges, cfg=cfg,
+                               options=options)
         gadgets = find_gadgets(program, secret_ranges, taint=run.result,
                                options=options)
         cache.flush()
@@ -151,7 +156,8 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
                    "reanalyzed": list(run.reanalyzed),
                    "cached_regions": len(cache)}
     else:
-        gadgets = find_gadgets(program, secret_ranges)
+        gadgets = find_gadgets(program, secret_ranges,
+                               taint=analyze(program, secret_ranges, cfg=cfg))
     beat(2)
     verdicts = {defense.value: any(leaks_under(g, defense) for g in gadgets)
                 for defense in DefenseKind}

@@ -1,8 +1,9 @@
 """The ``service.*`` stats scope for the spec-lint service.
 
 Every counter the always-on front end books — admission decisions, served
-tiers, cache traffic, worker supervision events, breaker trips — lives in
-one :class:`~repro.telemetry.registry.StatsRegistry` under the ``service``
+tiers, cache traffic, summary reuse inside computed jobs, worker
+supervision events, breaker trips — lives in one
+:class:`~repro.telemetry.registry.StatsRegistry` under the ``service``
 prefix, following the same gem5-style convention as the ``core.*`` /
 ``mem.*`` / ``checkpoint.*`` scopes.  The registry is dumped into the
 shutdown report and served live by the protocol's ``stats`` op, so the
@@ -57,6 +58,18 @@ class ServiceStats:
             self.cache_hits.value,
             self.cache_hits.value + self.cache_misses.value),
             "cache hits / lookups")
+
+        # Region-summary reuse inside the jobs workers computed (verdict
+        # cache hits run no job and book nothing here).
+        summary = scope.scope("summary")
+        self.summary_hits = summary.scalar(
+            "hits", "region summaries reused from the summary cache")
+        self.summary_misses = summary.scalar(
+            "misses", "region summaries computed fresh")
+        summary.formula("hit_rate", lambda: ratio(
+            self.summary_hits.value,
+            self.summary_hits.value + self.summary_misses.value),
+            "summary hits / lookups")
 
         workers = scope.scope("workers")
         self.worker_deaths = workers.scalar(
@@ -121,6 +134,13 @@ class ServiceStats:
         self.queue_wait_ms.observe(timings.get("queue_wait_ms", 0.0))
         self.analysis_ms.observe(timings.get("analysis_ms", 0.0))
         self.confirm_ms.observe(timings.get("confirm_ms", 0.0))
+
+    def observe_summary(self, summary: dict | None) -> None:
+        """Book the summary-cache traffic of one worker-computed row (its
+        ``summary`` field; ``None`` for a job without one)."""
+        if summary:
+            self.summary_hits.inc(summary.get("hits", 0))
+            self.summary_misses.inc(summary.get("misses", 0))
 
     def dump(self) -> dict:
         return self.registry.dump()

@@ -60,6 +60,15 @@ class TestServiceStatsUnit:
         dump = stats.dump()["service"]["cache"]
         assert dump["hit_rate"] == pytest.approx(2 / 3)
 
+    def test_summary_reuse_books_worker_rows_only(self):
+        stats = ServiceStats()
+        stats.observe_summary({"hits": 9, "misses": 1, "reanalyzed": []})
+        stats.observe_summary({"hits": 0, "misses": 2})
+        stats.observe_summary(None)         # a job without a summary cache
+        dump = stats.dump()["service"]["summary"]
+        assert (dump["hits"], dump["misses"]) == (9, 3)
+        assert dump["hit_rate"] == pytest.approx(0.75)
+
     def test_observe_timings_fills_latency_histograms(self):
         stats = ServiceStats()
         for total in (10.0, 20.0, 30.0):
@@ -116,6 +125,14 @@ class TestServiceStatsEndToEnd:
         assert report["cache"]["hits"] >= 1
         assert report["cache"]["misses"] >= 1
         assert 0.0 < report["cache"]["hit_rate"] < 1.0
+
+    def test_summary_counters_book_computed_jobs_only(self, report):
+        # The fresh job misses every region; the degraded static job
+        # recomputes the same program and hits each one; the verdict-cache
+        # hit runs no job.
+        summary = report["summary"]
+        assert summary["hits"] == summary["misses"] > 0
+        assert summary["hit_rate"] == pytest.approx(0.5)
 
     def test_tier_and_degradation_counters(self, report):
         assert report["tier"]["static"] + report["tier"]["cache"] == 3

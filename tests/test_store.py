@@ -281,14 +281,16 @@ RESULTS_LINE = (
     '"row":{"cycles":1000,"instructions":500},"schema":1,"sha256":'
     '"bb6158fa35826ec8b6ed2b867bc287153eb01f5439ad11f9a308a8496152db93",'
     '"status":"ok"}\n')
+# The verdict and summary lines carry their stores' current schemas:
+# records from an older analyzer are stale (test_modular_reuse.py).
 VERDICT_LINE = (
     '{"key":"k1","row":{"gadget_count":1,"tier":"static","verdicts":'
-    '{"none":true,"specasan":false}},"schema":1,"sha256":'
-    '"066050518aa1f10b3df548b9263ff5d6492d18556233894733be925f7a3d4ba3"}\n')
+    '{"none":true,"specasan":false}},"schema":2,"sha256":'
+    '"792df5f7ae6f43ee14dd1e27d8981e8959b55a720700e31a32fd83491b0f009b"}\n')
 SUMMARY_LINE = (
     '{"key":"k1","payload":{"cross":{},"ret":null},"schema":'
-    '"repro-summary/1","sha256":'
-    '"6bb4137764427d20237d5828d687fee9b7732215016319b517bf37c6850dec7c"}\n')
+    '"repro-summary/2","sha256":'
+    '"9400a3c2720e2a285d7acedb242abb8e0618c1c1da3adb3f3325fc5c7500e0cd"}\n')
 
 
 def _read(path):
