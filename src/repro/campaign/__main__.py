@@ -70,8 +70,6 @@ def _config_from_args(args) -> CampaignConfig:
         seed=args.seed, max_cycles=args.max_cycles,
         timeout_s=args.timeout, max_retries=args.max_retries,
         stall_timeout_s=args.stall_timeout, max_workers=args.max_workers,
-        checkpoint_interval=args.checkpoint_interval,
-        checkpoint_keep=args.checkpoint_keep,
         share_warm=not args.no_share_warm)
 
 
@@ -195,11 +193,6 @@ def main(argv=None) -> int:
                              "declared a straggler")
     parser.add_argument("--max-retries", type=int, default=2)
     parser.add_argument("--max-workers", type=int, default=2)
-    parser.add_argument("--checkpoint-interval", type=int, default=10_000,
-                        help="simulated cycles between mid-cell checkpoint "
-                             "generations (0 disables checkpointing)")
-    parser.add_argument("--checkpoint-keep", type=int, default=2,
-                        help="checkpoint generations kept per cell")
     parser.add_argument("--no-share-warm", action="store_true",
                         help="re-warm the hierarchy inside every cell "
                              "instead of fanning defenses out from one "

@@ -116,12 +116,11 @@ class CampaignConfig:
     #: Simulated cycles between heartbeats.
     heartbeat_cycles: int = 2000
     max_workers: int = 2
-    #: Simulated cycles between periodic mid-cell checkpoints (0 disables
-    #: checkpointing; retries and ``--resume`` then restart cells from
-    #: cycle 0, the pre-checkpoint behavior).
+    #: Unused by the campaign.  Kept in :meth:`to_dict` so that
+    #: :meth:`config_hash`, and with it ``--resume`` of existing run
+    #: directories, stays the same; benchmarks/perf/work.py::_replay reads
+    #: both.
     checkpoint_interval: int = 10_000
-    #: Checkpoint generations kept per cell (older ones are pruned; restore
-    #: walks newest->oldest past corrupt files).
     checkpoint_keep: int = 2
     #: Warm each (workload, seed) group once and fan every defense cell out
     #: from the shared warm-state checkpoint, instead of re-warming the
@@ -138,10 +137,6 @@ class CampaignConfig:
             raise CampaignError("max_workers must be >= 1")
         if self.stall_timeout_s <= 0 or self.timeout_s <= 0:
             raise CampaignError("timeouts must be positive")
-        if self.checkpoint_interval < 0:
-            raise CampaignError("checkpoint_interval must be >= 0")
-        if self.checkpoint_keep < 1:
-            raise CampaignError("checkpoint_keep must be >= 1")
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -53,8 +53,7 @@ from repro.campaign.pool import WorkerExit, WorkerProcess
 from repro.campaign.store import ResultStore
 from repro.config import DefenseKind
 from repro.store import Reject, atomic_write
-from repro.telemetry.obs import (SPAN_CHECKPOINT_RESTORE, FlightRecorder,
-                                 SpanRecorder, new_trace_id)
+from repro.telemetry.obs import FlightRecorder, SpanRecorder, new_trace_id
 from repro.telemetry.prometheus import render_prometheus
 from repro.telemetry.registry import StatsRegistry
 
@@ -69,7 +68,6 @@ METRICS_PROM = "metrics.prom"
 
 #: Worker-reported phase -> span name for cell-attempt child spans.
 _PHASE_SPANS = (("generate_ms", "workload-generate"),
-                ("restore_ms", SPAN_CHECKPOINT_RESTORE),
                 ("warm_ms", "warm-up"),
                 ("run_ms", "simulate"),
                 ("synthesize_ms", "witness-synthesize"),
@@ -100,9 +98,8 @@ class _PendingCell:
     #: MTE tag-seed perturbation for the next attempt.  Bumped only on
     #: *typed* simulation failures (the deterministic kind reseeding can
     #: dodge); environmental deaths — kill, OOM, wall-timeout, stall —
-    #: retry under the same seed so the previous attempt's mid-cell
-    #: checkpoints stay restorable and the retry resumes instead of
-    #: restarting from cycle 0.
+    #: retry under the same seed, so the retried cell measures the same
+    #: row an uninterrupted attempt would have.
     reseed: int = 0
     eligible_at: float = 0.0
     failures: List[AttemptFailure] = field(default_factory=list)
@@ -156,8 +153,8 @@ class CampaignOutcome:
     def degradations(self) -> Dict[str, List[dict]]:
         """Checkpoint corruptions each completed cell degraded past.
 
-        Keyed by cell id; each entry names the stage (``warm`` — shared
-        warm checkpoint, ``resume`` — per-cell generation) and the
+        Keyed by cell id; each entry names the stage (``warm`` — the
+        shared warm checkpoint) and the
         :class:`~repro.errors.CheckpointError` fault class.  Degradations
         cost re-simulation time, never results, so they are reported but
         do not affect :attr:`ok`.
@@ -252,12 +249,7 @@ class CampaignScheduler:
             .replace("/", "-")
         stem = os.path.join(self.store.work_dir, f"{safe}.a{attempt}")
         return {"spec": stem + ".cell.json", "out": stem + ".out.json",
-                "heartbeat": stem + ".hb", "log": stem + ".log",
-                # Checkpoint stem is attempt-INdependent: a retry must find
-                # the generations the dead attempt left behind, and a
-                # ``--resume`` of the whole campaign picks a killed cell
-                # back up mid-run the same way.
-                "ckpt": os.path.join(self.store.work_dir, safe)}
+                "heartbeat": stem + ".hb", "log": stem + ".log"}
 
     def _default_argv(self, cell: CellSpec, paths: dict, attempt: int,
                       reseed: int) -> List[str]:
@@ -266,11 +258,6 @@ class CampaignScheduler:
                 "--heartbeat", paths["heartbeat"],
                 "--attempt", str(attempt), "--reseed", str(reseed),
                 "--heartbeat-cycles", str(self.config.heartbeat_cycles)]
-        if self.config.checkpoint_interval > 0:
-            argv += ["--checkpoint-stem", paths["ckpt"],
-                     "--checkpoint-interval",
-                     str(self.config.checkpoint_interval),
-                     "--checkpoint-keep", str(self.config.checkpoint_keep)]
         if self.config.share_warm:
             argv += ["--warm-dir", self.store.work_dir]
         trace = self._traces.get(cell.cell_id, "")
@@ -342,8 +329,6 @@ class CampaignScheduler:
                               t0_ms=cursor, dur_ms=phase_ms)
             cursor += phase_ms
         notes = ""
-        if row.get("resumed_cycle") is not None:
-            notes += f", resumed from cycle {row['resumed_cycle']}"
         if row.get("degradations"):
             kinds = sorted({d["kind"] for d in row["degradations"]})
             notes += f", degraded past {'/'.join(kinds)}"
@@ -374,10 +359,8 @@ class CampaignScheduler:
                            attempt=failure.attempt)
         if failure.kind == "typed":
             # Deterministic simulation failure: perturb the MTE seed (the
-            # run_resilient convention).  The old checkpoints are now
-            # config-skewed and the worker starts the cell over; for every
-            # other failure kind the seed is kept so the retry restores the
-            # dead attempt's newest generation and continues mid-cell.
+            # run_resilient convention).  Every other failure kind keeps
+            # the seed (see _PendingCell.reseed).
             state.reseed += 1
         cell_id = worker.cell.cell_id
         if state.attempts > self.config.max_retries:
@@ -473,8 +456,7 @@ class CampaignScheduler:
 
         if self._interrupted and active:
             # Reap, don't strand: the workers die now, their cells stay
-            # unrecorded (= pending), and --resume picks them back up —
-            # mid-cell where checkpoints exist.
+            # unrecorded (= pending), and --resume re-runs them whole.
             self.progress(f"interrupt: reaping {len(active)} active "
                           "worker(s); run directory stays resumable")
             for worker in active:

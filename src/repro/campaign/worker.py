@@ -30,8 +30,9 @@ from typing import List, Optional
 
 from repro.campaign.cells import CellSpec, system_config
 from repro.campaign.heartbeat import Heartbeat
-from repro.checkpoint import (CheckpointHook, CheckpointManager,
-                              CheckpointStats, config_fingerprint,
+# benchmarks/perf/seams.py times generate, read_checkpoint and
+# write_checkpoint by patching these module-level names.
+from repro.checkpoint import (CheckpointStats, config_fingerprint,
                               program_fingerprint, read_checkpoint,
                               write_checkpoint)
 from repro.config import DefenseKind
@@ -47,33 +48,23 @@ EXIT_TYPED_FAILURE = 3
 
 @dataclass
 class CheckpointPlan:
-    """Scheduler-provided checkpointing knobs for one cell.
+    """Scheduler-provided warm-sharing knob for one cell.
 
-    ``stem`` is *attempt-independent* (no ``.a<N>`` suffix), so a retried
-    attempt finds the generations its predecessor wrote and resumes
-    mid-cell instead of restarting from cycle 0.  ``warm_dir`` is the
-    campaign-wide directory holding shared warm-state checkpoints; empty
-    disables warm sharing.  The default plan (both empty/zero) reproduces
-    the pre-checkpoint worker behavior exactly.
+    ``warm_dir`` is the campaign-wide directory holding shared warm-state
+    checkpoints; empty (the default) disables warm sharing, and every cell
+    then warms its own hierarchy.
     """
 
+    # stem, interval and keep are read by nothing here;
+    # benchmarks/perf/work.py::_replay passes them.
     stem: str = ""
     interval: int = 0
     keep: int = 2
     warm_dir: str = ""
 
     @property
-    def periodic(self) -> bool:
-        """Per-cell generation checkpoints enabled?"""
-        return bool(self.stem) and self.interval > 0
-
-    @property
     def share_warm(self) -> bool:
         return bool(self.warm_dir)
-
-    @property
-    def active(self) -> bool:
-        return self.periodic or self.share_warm
 
 
 def _degradation(stage: str, err: CheckpointError) -> dict:
@@ -81,45 +72,6 @@ def _degradation(stage: str, err: CheckpointError) -> dict:
     return {"stage": stage, "kind": err.kind,
             "path": os.path.basename(err.path) if err.path else "",
             "error": str(err)}
-
-
-def _clear_generations(manager: CheckpointManager) -> None:
-    """Drop every generation (all unusable: corrupt, or config-skewed
-    after a reseeding retry) so the fresh attempt starts a clean lineage."""
-    for generation in manager.generations():
-        try:
-            os.unlink(manager.path_for(generation))
-        except OSError:
-            pass
-
-
-def _resume(manager: Optional[CheckpointManager], system, programs,
-            degradations: List[dict]):
-    """Restore the newest valid per-cell generation, if one exists.
-
-    Returns ``(result, dirty)``: the
-    :class:`~repro.checkpoint.manager.RestoreResult` or None (fresh
-    start), and whether the failed walk may have left ``system`` partially
-    loaded (the caller rebuilds it then).  Generations rejected on the
-    walk become ``resume`` degradation records; ``config-skew`` is silent
-    because it is the *expected* outcome of finding a previous reseed's
-    checkpoints after a typed failure bumped the MTE seed.  Corruption
-    never propagates: the worst case is warming and running from cycle 0.
-    """
-    if manager is None:
-        return None, False
-    try:
-        result = manager.restore(system, programs)
-    except CheckpointError as err:
-        if err.kind == "missing":
-            return None, False
-        if err.kind != "config-skew":
-            degradations.append(_degradation("resume", err))
-        _clear_generations(manager)
-        return None, True
-    for rejected in result.rejected:
-        degradations.append(_degradation("resume", rejected))
-    return result, False
 
 
 def _shared_warm_state(cell: CellSpec, reseed: int, programs,
@@ -199,42 +151,24 @@ def _run_simulation_cell(cell: CellSpec, reseed: int,
     t_mark = time.monotonic()
     programs = _cell_programs(cell)
     generate_ms = (time.monotonic() - t_mark) * 1000.0
-    config = system_config(cell, reseed)
-    stats = CheckpointStats() if plan.active else None
-    manager = (CheckpointManager(plan.stem, keep=plan.keep, stats=stats)
-               if plan.periodic else None)
+    stats = CheckpointStats() if plan.share_warm else None
     degradations: List[dict] = []
-
-    def fresh_system():
-        system = build_system(config)
-        system.heartbeat = heartbeat
-        system.checkpoint_stats = stats
-        return system
-
-    system = fresh_system()
+    system = build_system(system_config(cell, reseed))
+    system.heartbeat = heartbeat
+    system.checkpoint_stats = stats
     t_mark = time.monotonic()
-    resumed, dirty = _resume(manager, system, programs, degradations)
-    restore_ms = (time.monotonic() - t_mark) * 1000.0
-    if dirty:
-        system = fresh_system()
-    origin = "checkpoint"
-    t_mark = time.monotonic()
-    if resumed is None:
-        if plan.share_warm and cell.warm_runs > 0:
+    if plan.share_warm and cell.warm_runs > 0:
+        system.prepare(programs)
+        warm_state, origin = _shared_warm_state(
+            cell, reseed, programs, plan, stats, degradations, heartbeat)
+        system.hierarchy.load_state_dict(warm_state)
+    else:
+        for _ in range(cell.warm_runs):
             system.prepare(programs)
-            warm_state, origin = _shared_warm_state(
-                cell, reseed, programs, plan, stats, degradations, heartbeat)
-            system.hierarchy.load_state_dict(warm_state)
-        else:
-            for _ in range(cell.warm_runs):
-                system.prepare(programs)
-                system.run_prepared()
-            system.prepare(programs)
-            origin = "local" if cell.warm_runs else "cold"
+            system.run_prepared()
+        system.prepare(programs)
+        origin = "local" if cell.warm_runs else "cold"
     warm_ms = (time.monotonic() - t_mark) * 1000.0
-    if manager is not None:
-        system.checkpoint_hook = CheckpointHook(manager, system, programs,
-                                                interval=plan.interval)
     t_mark = time.monotonic()
     system.run_prepared()
     run_ms = (time.monotonic() - t_mark) * 1000.0
@@ -251,13 +185,10 @@ def _run_simulation_cell(cell: CellSpec, reseed: int,
         "stats": system.stats_registry().dump(),
     }
     timings.update(generate_ms=round(generate_ms, 3),
-                   restore_ms=round(restore_ms, 3),
                    warm_ms=round(warm_ms, 3), run_ms=round(run_ms, 3))
-    if plan.active:
+    if plan.share_warm:
         row["warm"] = origin
         row["degradations"] = degradations
-        if resumed is not None:
-            row["resumed_cycle"] = resumed.cycle
     return row
 
 
@@ -329,16 +260,16 @@ def run_cell(cell: CellSpec, reseed: int = 0,
              timings: Optional[dict] = None) -> dict:
     """Measure one cell; returns the row payload or raises ReproError.
 
-    ``checkpointing`` (default: fully disabled) controls mid-cell
-    generation checkpoints and shared warm-state reuse; repair cells have
-    no long simulation loop of the right shape and ignore it.
+    ``checkpointing`` (default: disabled) controls shared warm-state
+    reuse; repair cells do not warm up and ignore it.  The parameter order
+    stays as it is because ``benchmarks/perf/work.py::_replay`` passes the
+    plan positionally.
 
     ``timings`` is an optional out-dict collecting wall-clock phase
-    durations (``generate_ms`` / ``warm_ms`` / ``run_ms`` /
-    ``restore_ms``, repair: ``synthesize_ms`` / ``plan_ms`` /
-    ``measure_ms``).  They ride the outcome *envelope*, never the row —
-    row payloads stay deterministic, the property resume byte-identity
-    is built on.
+    durations (``generate_ms`` / ``warm_ms`` / ``run_ms``, repair:
+    ``synthesize_ms`` / ``plan_ms`` / ``measure_ms``).  They ride the
+    outcome *envelope*, never the row — row payloads stay deterministic,
+    the property resume byte-identity is built on.
     """
     plan = checkpointing if checkpointing is not None else CheckpointPlan()
     phases = timings if timings is not None else {}
@@ -360,12 +291,6 @@ def main(argv=None) -> int:
     parser.add_argument("--attempt", type=int, default=0)
     parser.add_argument("--reseed", type=int, default=0)
     parser.add_argument("--heartbeat-cycles", type=int, default=2000)
-    parser.add_argument("--checkpoint-stem", default="",
-                        help="attempt-independent per-cell checkpoint stem")
-    parser.add_argument("--checkpoint-interval", type=int, default=0,
-                        help="simulated cycles between generations "
-                             "(0 disables)")
-    parser.add_argument("--checkpoint-keep", type=int, default=2)
     parser.add_argument("--warm-dir", default="",
                         help="shared warm-checkpoint directory "
                              "(empty disables warm sharing)")
@@ -378,10 +303,7 @@ def main(argv=None) -> int:
         cell = CellSpec.from_dict(json.load(handle))
     heartbeat = Heartbeat(args.heartbeat, interval=args.heartbeat_cycles)
     heartbeat.beat(0)  # prove liveness before the (long) first interval
-    plan = CheckpointPlan(stem=args.checkpoint_stem,
-                          interval=args.checkpoint_interval,
-                          keep=args.checkpoint_keep,
-                          warm_dir=args.warm_dir)
+    plan = CheckpointPlan(warm_dir=args.warm_dir)
 
     base = {"cell_id": cell.cell_id, "attempt": args.attempt,
             "reseed": args.reseed}

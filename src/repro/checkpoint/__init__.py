@@ -10,14 +10,15 @@ Layers:
 
 - :mod:`repro.checkpoint.format` — the sectioned, hashed, atomically
   written file format and its fail-closed reader;
-- :mod:`repro.checkpoint.manager` — generation rotation, newest→oldest
-  corruption fallback, and the periodic in-run checkpoint hook;
-- :mod:`repro.checkpoint.corrupt` — the damage primitives the tests and
-  the fault injector aim at checkpoint files;
-- :mod:`repro.checkpoint.stats` — the ``checkpoint.*`` telemetry counters.
+- :mod:`repro.checkpoint.manager` — save a paused system to one file
+  and restore it;
+- :mod:`repro.checkpoint.corrupt` — the damage primitives the tests aim
+  at checkpoint files;
+- :mod:`repro.checkpoint.stats` — the ``checkpoint.*`` counters of the
+  campaign's shared warm-state file.
 
-``python -m repro.checkpoint --smoke`` exercises the full ladder
-end-to-end (see :mod:`repro.checkpoint.__main__`).
+``python -m repro.checkpoint --smoke`` pauses, saves, discards, restores
+and finishes a run end to end (see :mod:`repro.checkpoint.__main__`).
 """
 
 from repro.checkpoint.format import (
@@ -30,15 +31,10 @@ from repro.checkpoint.format import (
     section_ranges,
     write_checkpoint,
 )
-from repro.checkpoint.manager import (
-    CheckpointHook,
-    CheckpointManager,
-    RestoreResult,
-)
+from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.stats import CheckpointStats
 
 __all__ = [
-    "CheckpointHook",
     "CheckpointManager",
     "CheckpointStats",
     "config_fingerprint",
@@ -46,7 +42,6 @@ __all__ = [
     "program_fingerprint",
     "read_checkpoint",
     "read_header",
-    "RestoreResult",
     "SCHEMA_VERSION",
     "section_ranges",
     "write_checkpoint",

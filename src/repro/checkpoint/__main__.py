@@ -4,12 +4,11 @@
 corruption matrix: every damage primitive must be detected with the right
 fault kind.
 
-``python -m repro.checkpoint --smoke`` — the CI job's end-to-end ladder:
-warm a workload, checkpoint mid-run, *discard the live system* (the
+``python -m repro.checkpoint --smoke`` — the CI job's end-to-end drive:
+pause a workload mid-run, checkpoint it, *discard the live system* (the
 in-process equivalent of killing the worker), restore into a fresh system,
 finish, and require the stats registry to match a straight-through run
-byte-for-byte; then corrupt the newest generation and require the restore
-walk to fall back to the older one.
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import tempfile
 
 from repro.checkpoint import corrupt
 from repro.checkpoint.manager import CheckpointManager
-from repro.checkpoint.stats import CheckpointStats
 from repro.config import CORTEX_A76, DefenseKind
 from repro.errors import CheckpointError
 from repro.system import build_system
@@ -42,17 +40,17 @@ def selftest() -> int:
     program = workload.program
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        manager = CheckpointManager(os.path.join(tmp, "self"))
+        manager = CheckpointManager(os.path.join(tmp, "self.ckpt"))
         system = _fresh_system()
         core = system.prepare(program)
         core.run(until_cycle=200)
-        path = manager.save(system, program)
+        manager.save(system, program)
 
         # Round trip.
         restored = _fresh_system()
-        result = manager.restore(restored, program)
-        if result.cycle != 200 or restored.core.cycle != 200:
-            print(f"FAIL round-trip: cycle {result.cycle}")
+        cycle = manager.restore(restored, program)
+        if cycle != 200 or restored.core.cycle != 200:
+            print(f"FAIL round-trip: cycle {cycle}")
             failures += 1
         else:
             print("ok  round-trip restores at the paused cycle")
@@ -73,9 +71,9 @@ def selftest() -> int:
             ("torn write", corrupt.tear_write, "torn-header"),
         ]
         for label, damage, expected in matrix:
-            manager2 = CheckpointManager(os.path.join(tmp, label.replace(" ", "_")))
-            gen_path = manager2.save(system, program)
-            damage(gen_path)
+            manager2 = CheckpointManager(
+                os.path.join(tmp, label.replace(" ", "_") + ".ckpt"))
+            damage(manager2.save(system, program))
             try:
                 manager2.restore(_fresh_system(), program)
             except CheckpointError as err:
@@ -87,15 +85,12 @@ def selftest() -> int:
             else:
                 print(f"FAIL {label}: corrupt checkpoint restored")
                 failures += 1
-        if os.path.exists(path):
-            os.unlink(path)
     return failures
 
 
 def smoke() -> int:
     workload = build_spec("531.deepsjeng_r", seed=5)
     program = workload.program
-    failures = 0
 
     # Straight-through reference.
     reference = _fresh_system()
@@ -103,54 +98,27 @@ def smoke() -> int:
     reference_blob = _registry_blob(reference)
 
     with tempfile.TemporaryDirectory() as tmp:
-        stats = CheckpointStats()
-        manager = CheckpointManager(os.path.join(tmp, "smoke"), keep=2,
-                                    stats=stats)
+        manager = CheckpointManager(os.path.join(tmp, "smoke.ckpt"))
 
-        # Warm to the pause point, checkpoint twice (two generations), then
-        # drop the system on the floor — the kill-mid-cell equivalent.
+        # Run to the pause point, checkpoint, then drop the system on the
+        # floor — the kill-mid-cell equivalent.
         victim = _fresh_system()
         core = victim.prepare(program)
-        core.run(until_cycle=150)
-        manager.save(victim, program)
         core.run(until_cycle=300)
         manager.save(victim, program)
         del victim, core
 
         # Restore and finish; registries must match byte-for-byte.
         resumed = _fresh_system()
-        result = manager.restore(resumed, program)
+        cycle = manager.restore(resumed, program)
         resumed.core.run()
-        if _registry_blob(resumed) == reference_blob:
-            print(f"ok  restored gen {result.generation} at cycle "
-                  f"{result.cycle}; registry byte-identical to "
-                  "straight-through run")
-        else:
-            print("FAIL restored run diverged from straight-through run")
-            failures += 1
-
-        # Corrupt the newest generation: restore must fall back to gen 0.
-        corrupt.flip_bit(manager.path_for(1), section="cores")
-        fallback = _fresh_system()
-        result = manager.restore(fallback, program)
-        if result.generation == 0 and len(result.rejected) == 1:
-            rejected = result.rejected[0]
-            print(f"ok  newest generation rejected ({rejected.kind}); "
-                  f"fell back to gen 0 at cycle {result.cycle}")
-        else:
-            print(f"FAIL fallback walked to gen {result.generation} "
-                  f"rejecting {len(result.rejected)}")
-            failures += 1
-        fallback.core.run()
-        if _registry_blob(fallback) == reference_blob:
-            print("ok  fallback generation also replays byte-identically")
-        else:
-            print("FAIL fallback run diverged")
-            failures += 1
-        print(f"stats: saves={stats.saves} bytes={stats.bytes} "
-              f"restores={stats.restores} "
-              f"corrupt_rejected={stats.corrupt_rejected}")
-    return failures
+        nbytes = os.path.getsize(manager.path)
+    if _registry_blob(resumed) == reference_blob:
+        print(f"ok  restored at cycle {cycle} from {nbytes} bytes; "
+              "registry byte-identical to straight-through run")
+        return 0
+    print("FAIL restored run diverged from straight-through run")
+    return 1
 
 
 def main(argv=None) -> int:
@@ -159,7 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--selftest", action="store_true",
                         help="file round-trip + corruption matrix")
     parser.add_argument("--smoke", action="store_true",
-                        help="end-to-end warm/kill/restore/compare ladder")
+                        help="end-to-end pause/save/restore/compare run")
     args = parser.parse_args(argv)
     if not (args.selftest or args.smoke):
         args.selftest = True

@@ -14,13 +14,13 @@ canonical JSON of one ``state_dict()`` subtree, hashed independently so a
 flipped bit is attributed to the section it hit.
 
 Writes go through :func:`repro.store.atomic_write` (DESIGN.md § "Durable
-state"), so a crash mid-write leaves either the old generation or the new
-one, never a tear.  Reads fail *closed*: every malformed input maps to a
+state"), so a crash mid-write leaves either the old file or the new one,
+never a tear.  Reads fail *closed*: every malformed input maps to a
 :class:`~repro.errors.CheckpointError` whose ``kind`` names the failure
 class ("missing", "bad-magic", "torn-header", "schema-skew", "config-skew",
-"truncated", "section-corrupt") — the degradation ladder upstream
-(generation walk-back, straight-through re-run) keys off those kinds and
-never sees a half-trusted snapshot.
+"truncated", "section-corrupt") — the campaign's degradation ladder (a
+corrupt shared warm file falls back to a local re-warm) records those
+kinds and never loads a half-trusted snapshot.
 """
 
 from __future__ import annotations

@@ -159,10 +159,10 @@ class CheckpointError(ReproError):
     """A checkpoint could not be written, read, or restored.
 
     Restore-side failures are *expected* events, not bugs: the campaign
-    layer catches this error, walks back to an older checkpoint generation
-    or degrades the cell to a straight-through run, and records the
-    degradation in ``report.json``.  The structured attributes exist so
-    that degradation records can name the fault class that was detected.
+    worker catches this error when its shared warm-state file does not
+    verify, re-warms the cell locally, and records the degradation in
+    ``report.json``.  The structured attributes exist so that degradation
+    records can name the fault class that was detected.
 
     Attributes:
         path: the checkpoint file involved.

@@ -491,7 +491,7 @@ class MemoryHierarchy:
         self.minions[core_id].squash_younger(owner_seq)
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # checkpointing (benchmarks/perf/seams.py times both methods)
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -143,10 +143,6 @@ class Core:
         #: *simulated* progress, so a wedged simulation loop stops beating
         #: and the campaign straggler detector can reap the worker.
         self.heartbeat = None
-        #: Periodic checkpoint hook: any object with an ``interval`` (cycles)
-        #: and a ``save()`` method, called every ``interval`` simulated
-        #: cycles by run() (see :class:`repro.checkpoint.manager.CheckpointHook`).
-        self.checkpoint_hook = None
 
         # Telemetry hooks (opt-in; see repro.telemetry).  Both default to
         # None and every call site is guarded on that, so an untraced run
@@ -198,10 +194,9 @@ class Core:
         and a restored core resumes through the same loop.
 
         This is :func:`run_cores` over this one core, with its own
-        ``heartbeat`` and ``checkpoint_hook``.
+        ``heartbeat``.
         """
-        run_cores([self], max_cycles, until_cycle, self.heartbeat,
-                  self.checkpoint_hook)
+        run_cores([self], max_cycles, until_cycle, self.heartbeat)
 
     def _next_event_cycle(self) -> int:
         """The first cycle after this one whose tick may change any state
@@ -1164,18 +1159,17 @@ class Core:
 
 
 def run_cores(cores: List[Core], max_cycles: Optional[int] = None,
-              until_cycle: Optional[int] = None, heartbeat=None,
-              checkpoint_hook=None) -> None:
+              until_cycle: Optional[int] = None, heartbeat=None) -> None:
     """The cycle loop: tick ``cores`` in lockstep until every one halts.
 
     Each cycle ticks every live core in core-id order (its fault injector
-    first, its invariant checker after), then pulses ``heartbeat`` and
-    ``checkpoint_hook`` (each every ``interval`` cycles) and checks each
-    live core for a deadlock.  A halted core is never ticked again, so its
-    ``cycle`` stays at its halt cycle.  ``max_cycles`` defaults to the
-    configured budget (:attr:`~repro.config.CoreConfig.max_cycles`);
-    exceeding it raises :class:`SimulationError`.  ``until_cycle`` pauses
-    between cycles without raising (see :meth:`Core.run`).
+    first, its invariant checker after), then pulses ``heartbeat`` (every
+    ``interval`` cycles) and checks each live core for a deadlock.  A
+    halted core is never ticked again, so its ``cycle`` stays at its halt
+    cycle.  ``max_cycles`` defaults to the configured budget
+    (:attr:`~repro.config.CoreConfig.max_cycles`); exceeding it raises
+    :class:`SimulationError`.  ``until_cycle`` pauses between cycles
+    without raising (see :meth:`Core.run`).
 
     Cycles in which no core can change any state are not ticked: after a
     cycle, the smallest :meth:`Core._next_event_cycle` over the live cores
@@ -1196,8 +1190,7 @@ def run_cores(cores: List[Core], max_cycles: Optional[int] = None,
     skip = all(core.fault_injector is None and core.occupancy is None
                for core in cores)
     observers = [observer for observer in
-                 [heartbeat, checkpoint_hook]
-                 + [core.invariant_checker for core in cores]
+                 [heartbeat] + [core.invariant_checker for core in cores]
                  if observer is not None]
     live = [core for core in cores if not core.halted]
     while live:
@@ -1217,9 +1210,6 @@ def run_cores(cores: List[Core], max_cycles: Optional[int] = None,
         cycle += 1
         if heartbeat is not None and cycle % heartbeat.interval == 0:
             heartbeat.beat(cycle)
-        if (checkpoint_hook is not None
-                and cycle % checkpoint_hook.interval == 0):
-            checkpoint_hook.save()
         for core in live:
             if cycle - core._last_commit_cycle > threshold:
                 from repro.resilience.snapshot import core_snapshot, summarize

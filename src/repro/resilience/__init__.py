@@ -19,8 +19,7 @@ Quick start::
 ``python -m repro.resilience --selftest`` runs the built-in smoke sweep.
 """
 
-from repro.resilience.faults import (ALL_FAULT_KINDS,
-                                     CHECKPOINT_FAULT_KINDS, FaultEvent,
+from repro.resilience.faults import (ALL_FAULT_KINDS, FaultEvent,
                                      FaultInjector, FaultKind, FaultSchedule)
 from repro.resilience.harness import (DEFAULT_DEFENSES, ResilienceCell,
                                       evaluate_resilience_matrix,
@@ -32,8 +31,7 @@ from repro.resilience.watchdog import (DegradationEvent, DegradationMode,
                                        GracefulDegradation, Watchdog)
 
 __all__ = [
-    "ALL_FAULT_KINDS", "CHECKPOINT_FAULT_KINDS", "FaultEvent",
-    "FaultInjector", "FaultKind",
+    "ALL_FAULT_KINDS", "FaultEvent", "FaultInjector", "FaultKind",
     "FaultSchedule", "DEFAULT_DEFENSES", "ResilienceCell",
     "evaluate_resilience_matrix", "render_resilience_matrix",
     "run_resilient_attack", "INVARIANTS", "InvariantChecker",

@@ -32,7 +32,6 @@ Usage::
 from __future__ import annotations
 
 import enum
-import os
 import random
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -47,24 +46,9 @@ class FaultKind(enum.Enum):
     MSHR_EXHAUST = "mshr-exhaust"
     LFB_EXHAUST = "lfb-exhaust"
     PREDICTOR_CORRUPT = "predictor-corrupt"
-    # Durable-state faults: damage the run's newest checkpoint generation
-    # (set :attr:`FaultInjector.checkpoint_target`) in each of the ways the
-    # checkpoint reader must detect (:mod:`repro.checkpoint.corrupt`).
-    CHECKPOINT_TRUNCATE = "checkpoint-truncate"
-    CHECKPOINT_BIT_FLIP = "checkpoint-bit-flip"
-    CHECKPOINT_HEADER_SKEW = "checkpoint-header-skew"
-    CHECKPOINT_TORN_WRITE = "checkpoint-torn-write"
 
 
 ALL_FAULT_KINDS: Tuple[FaultKind, ...] = tuple(FaultKind)
-
-#: The subset that targets checkpoint files rather than live core state.
-CHECKPOINT_FAULT_KINDS: Tuple[FaultKind, ...] = (
-    FaultKind.CHECKPOINT_TRUNCATE,
-    FaultKind.CHECKPOINT_BIT_FLIP,
-    FaultKind.CHECKPOINT_HEADER_SKEW,
-    FaultKind.CHECKPOINT_TORN_WRITE,
-)
 
 
 @dataclass(frozen=True)
@@ -94,10 +78,6 @@ class FaultEvent:
             FaultKind.MSHR_EXHAUST: f"count={self.count} for={self.duration}",
             FaultKind.LFB_EXHAUST: f"count={self.count} for={self.duration}",
             FaultKind.PREDICTOR_CORRUPT: f"target={self.target}",
-            FaultKind.CHECKPOINT_TRUNCATE: "target=checkpoint",
-            FaultKind.CHECKPOINT_BIT_FLIP: f"section={self.target}",
-            FaultKind.CHECKPOINT_HEADER_SKEW: f"field={self.target}",
-            FaultKind.CHECKPOINT_TORN_WRITE: "target=checkpoint",
         }[self.kind]
         return f"@{self.cycle} {self.kind.value} {extra}"
 
@@ -150,17 +130,6 @@ class FaultSchedule:
                     target = rng.choice(
                         ["pht", "btb", "rsb", "bhb", "mdp", "all"])
                     events.append(FaultEvent(cycle, kind, target=target))
-                elif kind is FaultKind.CHECKPOINT_BIT_FLIP:
-                    events.append(FaultEvent(
-                        cycle, kind,
-                        target=rng.choice(["hierarchy", "cores", ""]),
-                        bit=rng.randrange(1 << 16)))
-                elif kind is FaultKind.CHECKPOINT_HEADER_SKEW:
-                    events.append(FaultEvent(
-                        cycle, kind,
-                        target=rng.choice(["schema", "config", "program"])))
-                else:  # CHECKPOINT_TRUNCATE / CHECKPOINT_TORN_WRITE
-                    events.append(FaultEvent(cycle, kind))
         events.sort(key=lambda e: e.cycle)
         return cls(seed=seed, events=events)
 
@@ -188,12 +157,6 @@ class FaultInjector:
         # Outstanding structure reservations: (release_cycle, release_fn).
         self._releases: List[Tuple[int, object]] = []
         self.core = None
-        #: Where the CHECKPOINT_* fault kinds aim: a checkpoint file path,
-        #: or a zero-argument callable returning one (e.g. the newest
-        #: generation of a :class:`repro.checkpoint.manager.CheckpointManager`).
-        #: Left ``None``, those kinds are no-ops — there is no durable state
-        #: to damage.
-        self.checkpoint_target = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -258,32 +221,6 @@ class FaultInjector:
                 self._releases.append((release_at, lfb.release_reserved))
         elif kind is FaultKind.PREDICTOR_CORRUPT:
             self._corrupt_predictors(core, event.target)
-        elif kind in CHECKPOINT_FAULT_KINDS:
-            self._damage_checkpoint(event)
-
-    def _damage_checkpoint(self, event: FaultEvent) -> None:
-        target = self.checkpoint_target
-        path = target() if callable(target) else target
-        if not path or not os.path.exists(path):
-            return  # no durable state exists yet to damage
-        from repro.checkpoint import corrupt
-        from repro.errors import CheckpointError
-        kind = event.kind
-        try:
-            if kind is FaultKind.CHECKPOINT_TRUNCATE:
-                corrupt.truncate(path, 0.5)
-            elif kind is FaultKind.CHECKPOINT_BIT_FLIP:
-                try:
-                    corrupt.flip_bit(path, section=event.target,
-                                     seed=event.bit)
-                except ValueError:  # section absent in this file
-                    corrupt.flip_bit(path, seed=event.bit)
-            elif kind is FaultKind.CHECKPOINT_HEADER_SKEW:
-                corrupt.skew_header(path, event.target or "schema")
-            else:  # CHECKPOINT_TORN_WRITE
-                corrupt.tear_write(path)
-        except CheckpointError:
-            pass  # file already unreadable: damage is moot
 
     def _corrupt_predictors(self, core, target: str) -> None:
         structures = {

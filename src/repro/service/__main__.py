@@ -156,9 +156,17 @@ async def _selftest(state_dir: str) -> bool:
                  and r.get("tier") == "static", json.dumps(r)[:200])
     checks.check("unsafe baseline leaks",
                  r.get("verdicts", {}).get("none") is True)
+    # A bare "pht" is the same-key residual: the secret carries the
+    # array's tag, so SpecASan's tag check passes and the gadget leaks.
+    checks.check("specasan same-key residual leaks",
+                 r.get("verdicts", {}).get("specasan") is True,
+                 json.dumps(r.get("verdicts")))
+    rx = await client.request(
+        {"id": "w3", "op": "lint", "witness": "pht/cross-key"})
     checks.check("specasan cross-key blocks",
-                 r.get("verdicts", {}).get("specasan") is False
-                 or r.get("verdicts", {}).get("specasan") is True)
+                 rx.get("ok") is True
+                 and rx.get("verdicts", {}).get("specasan") is False,
+                 json.dumps(rx)[:200])
 
     r2 = await client.request({"id": "w2", "op": "lint", "witness": "pht"})
     checks.check("repeat served from cache", r2.get("cached") is True)

@@ -123,15 +123,13 @@ class SimulatedSystem:
         #: wired to them.
         self.tracer = None
         self.occupancy = None
-        #: Campaign liveness probe and periodic re-checkpoint hook, pulsed
-        #: by :meth:`run_prepared` (same contract as
-        #: :attr:`~repro.pipeline.core.Core.heartbeat` and
-        #: :attr:`~repro.pipeline.core.Core.checkpoint_hook`).
+        #: Campaign liveness probe, pulsed by :meth:`run_prepared` (same
+        #: contract as :attr:`~repro.pipeline.core.Core.heartbeat`).
         self.heartbeat = None
-        self.checkpoint_hook = None
-        #: Checkpoint telemetry (:class:`repro.checkpoint.stats.CheckpointStats`),
-        #: attached by a :class:`repro.checkpoint.manager.CheckpointManager`;
-        #: registers under the ``checkpoint`` scope in :meth:`stats_registry`.
+        #: Shared warm-state counters
+        #: (:class:`repro.checkpoint.stats.CheckpointStats`), attached by
+        #: the campaign worker (:mod:`repro.campaign.worker`); registers
+        #: under the ``checkpoint`` scope in :meth:`stats_registry`.
         self.checkpoint_stats = None
 
     @property
@@ -191,8 +189,7 @@ class SimulatedSystem:
         ``until_cycle`` (see :func:`~repro.pipeline.core.run_cores`)."""
         if not self.cores:
             raise RuntimeError("no program prepared; nothing to run")
-        run_cores(self.cores, max_cycles, until_cycle, self.heartbeat,
-                  self.checkpoint_hook)
+        run_cores(self.cores, max_cycles, until_cycle, self.heartbeat)
 
     def result(self) -> RunResult:
         """Snapshot the outcome of the last (possibly in-progress) run."""

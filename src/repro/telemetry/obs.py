@@ -7,10 +7,10 @@ scheduler, and their workers:
   service admission (and once per campaign cell); every protocol envelope,
   worker payload, and log record downstream carries it.  Work is recorded
   as typed :class:`Span` records — ``queue-wait``, ``pool-dispatch``,
-  ``static-lint``, ``simulator-confirm``, ``cache-lookup``,
-  ``checkpoint-restore`` — with parent/child links, appended as JSONL by a
-  :class:`SpanRecorder` so one request's full latency breakdown is
-  reconstructable offline (``python -m repro.telemetry --spans``).
+  ``static-lint``, ``simulator-confirm``, ``cache-lookup`` — with
+  parent/child links, appended as JSONL by a :class:`SpanRecorder` so one
+  request's full latency breakdown is reconstructable offline
+  (``python -m repro.telemetry --spans``).
 - **Flight recorder.**  A bounded, always-on ring buffer of the last N
   spans/events per process (:class:`FlightRecorder`).  It costs a deque
   append per event, so it is never disabled; on shutdown it is dumped next
@@ -49,7 +49,6 @@ SPAN_POOL_DISPATCH = "pool-dispatch"
 SPAN_STATIC_LINT = "static-lint"
 SPAN_CONFIRM = "simulator-confirm"
 SPAN_CACHE_LOOKUP = "cache-lookup"
-SPAN_CHECKPOINT_RESTORE = "checkpoint-restore"
 
 _ID_BYTES = 8
 

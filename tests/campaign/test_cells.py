@@ -79,6 +79,13 @@ class TestCampaignConfig:
         c = CampaignConfig(figure="figure6", target_instructions=301)
         assert a.config_hash() == b.config_hash() != c.config_hash()
 
+    def test_default_hash_is_pinned(self):
+        # Existing run directories resume only while their manifest's hash
+        # still matches, so every field stays in to_dict(), including the
+        # two checkpoint fields the campaign does not read.
+        assert CampaignConfig(figure="figure6").config_hash() == \
+            "159947a5349d1de4"
+
     def test_unknown_figure_rejected(self):
         with pytest.raises(CampaignError):
             CampaignConfig(figure="figure42")

@@ -4,17 +4,14 @@ The acceptance criterion: for every Table-1 defense, on several workload
 profiles, checkpoint-then-restore must produce a stats registry
 byte-identical to the straight-through run — pipeline, memory hierarchy,
 MTE tags, predictors, and RNG streams all land exactly where they were.
-Plus the generation machinery: rotation, pruning, corrupt-newest fallback,
-and the ``checkpoint.*`` telemetry counters.
+Plus the one-file manager's typed rejections.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.checkpoint import (CheckpointHook, CheckpointManager,
-                              CheckpointStats, config_fingerprint, corrupt,
+from repro.checkpoint import (CheckpointManager, config_fingerprint,
                               program_fingerprint, read_checkpoint,
                               write_checkpoint)
 from repro.config import CORTEX_A76, DefenseKind
@@ -61,15 +58,15 @@ class TestByteIdenticalContinuation:
         reference_blob = blob(reference)
         assert reference.core.cycle > pause  # the pause lands mid-run
 
-        manager = CheckpointManager(str(tmp_path / "gen"))
+        manager = CheckpointManager(str(tmp_path / "cell.ckpt"))
         victim = build_system(config)
         victim.prepare(program).run(until_cycle=pause)
         manager.save(victim, program)
         del victim  # the kill: nothing of the live system survives
 
         resumed = build_system(config)
-        result = manager.restore(resumed, program)
-        assert resumed.core.cycle == result.cycle
+        cycle = manager.restore(resumed, program)
+        assert resumed.core.cycle == cycle
         resumed.core.run()
         assert blob(resumed) == reference_blob
 
@@ -87,7 +84,7 @@ class TestByteIdenticalContinuation:
         reference.run_prepared()
         reference_blob = blob(reference)
 
-        manager = CheckpointManager(str(tmp_path / "gen"))
+        manager = CheckpointManager(str(tmp_path / "cell.ckpt"))
         victim = build_system(config)
         victim.prepare(programs)
         victim.run_prepared(until_cycle=120)
@@ -95,8 +92,7 @@ class TestByteIdenticalContinuation:
         del victim
 
         resumed = build_system(config)
-        result = manager.restore(resumed, programs)
-        assert result.cycle == 120
+        assert manager.restore(resumed, programs) == 120
         resumed.run_prepared()
         assert blob(resumed) == reference_blob
 
@@ -107,7 +103,7 @@ class TestByteIdenticalContinuation:
         reference = build_system(config)
         reference.prepare(program).run()
 
-        manager = CheckpointManager(str(tmp_path / "gen"))
+        manager = CheckpointManager(str(tmp_path / "cell.ckpt"))
         victim = build_system(config)
         victim.prepare(program).run(until_cycle=90)
         manager.save(victim, program)
@@ -146,62 +142,26 @@ class TestSectionLayout:
         sections = {"meta": {"multicore": threads > 1, "cycle": 120},
                     "hierarchy": state["hierarchy"],
                     "cores": state["cores"]}
-        manager = CheckpointManager(str(tmp_path / "gen"))
-        write_checkpoint(manager.path_for(0), sections,
+        by_hand = CheckpointManager(str(tmp_path / "hand.ckpt"))
+        write_checkpoint(by_hand.path, sections,
                          config_hash=config_fingerprint(config),
                          program_hash=program_fingerprint(programs),
                          cycle=120)
-        saved = manager.save(victim, programs)
-        assert read_checkpoint(saved)[1] == read_checkpoint(
-            manager.path_for(0))[1]
-        os.unlink(saved)
+        saved = CheckpointManager(str(tmp_path / "saved.ckpt")).save(
+            victim, programs)
+        assert read_checkpoint(saved)[1] == read_checkpoint(by_hand.path)[1]
 
         resumed = build_system(config)
-        result = manager.restore(resumed, programs)
-        assert (result.generation, result.cycle) == (0, 120)
+        assert by_hand.restore(resumed, programs) == 120
         resumed.run_prepared()
         assert blob(resumed) == blob(reference)
 
 
 class TestGenerations:
-    def _saved(self, tmp_path, keep=2, saves=3, stats=None):
-        config = CORTEX_A76.with_defense(DefenseKind.SPECASAN)
-        program = spec_program("505.mcf_r")
-        manager = CheckpointManager(str(tmp_path / "gen"), keep=keep,
-                                    stats=stats)
-        system = build_system(config)
-        core = system.prepare(program)
-        for pause in range(1, saves + 1):
-            core.run(until_cycle=pause * 60)
-            manager.save(system, program)
-        return manager, config, program
-
-    def test_rotation_prunes_to_keep(self, tmp_path):
-        manager, _, _ = self._saved(tmp_path, keep=2, saves=3)
-        assert manager.generations() == [2, 1]
-        assert not os.path.exists(manager.path_for(0))
-
-    def test_corrupt_newest_falls_back_one_generation(self, tmp_path):
-        stats = CheckpointStats()
-        manager, config, program = self._saved(tmp_path, stats=stats)
-        corrupt.flip_bit(manager.path_for(2), section="cores")
-        resumed = build_system(config)
-        result = manager.restore(resumed, program)
-        assert result.generation == 1 and result.cycle == 120
-        assert [r.kind for r in result.rejected] == ["section-corrupt"]
-        assert stats.corrupt_rejected == 1 and stats.restores == 1
-
-    def test_every_generation_corrupt_raises_newest_rejection(self,
-                                                              tmp_path):
-        manager, config, program = self._saved(tmp_path)
-        corrupt.truncate(manager.path_for(2), 0.3)
-        corrupt.flip_bit(manager.path_for(1), section="hierarchy")
-        with pytest.raises(CheckpointError) as err:
-            manager.restore(build_system(config), program)
-        assert err.value.kind == "truncated"  # the newest generation's kind
+    """A restore that cannot use the file fails typed."""
 
     def test_no_generations_is_kind_missing(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path / "void"))
+        manager = CheckpointManager(str(tmp_path / "void.ckpt"))
         config = CORTEX_A76.with_defense(DefenseKind.SPECASAN)
         with pytest.raises(CheckpointError) as err:
             manager.restore(build_system(config),
@@ -209,46 +169,13 @@ class TestGenerations:
         assert err.value.kind == "missing"
 
     def test_wrong_defense_config_is_skew(self, tmp_path):
-        manager, _, program = self._saved(tmp_path)
+        config = CORTEX_A76.with_defense(DefenseKind.SPECASAN)
+        program = spec_program("505.mcf_r")
+        manager = CheckpointManager(str(tmp_path / "cell.ckpt"))
+        system = build_system(config)
+        system.prepare(program).run(until_cycle=60)
+        manager.save(system, program)
         other = build_system(CORTEX_A76.with_defense(DefenseKind.FENCE))
         with pytest.raises(CheckpointError) as err:
             manager.restore(other, program)
         assert err.value.kind == "config-skew"
-
-
-class TestPeriodicHookAndTelemetry:
-    def test_hook_checkpoints_mid_run_and_counters_register(self, tmp_path):
-        config = CORTEX_A76.with_defense(DefenseKind.SPECASAN)
-        program = spec_program("505.mcf_r")
-        stats = CheckpointStats()
-        manager = CheckpointManager(str(tmp_path / "gen"), keep=2,
-                                    stats=stats)
-        system = build_system(config)
-        system.checkpoint_stats = stats
-        core = system.prepare(program)
-        core.checkpoint_hook = CheckpointHook(manager, system, program,
-                                              interval=100)
-        core.run()
-        assert stats.saves >= 2  # several generations along the way
-        assert stats.bytes > 0
-        assert stats.save_cycles % 100 == 0
-        assert len(manager.generations()) <= 2  # pruned to keep
-        dump = system.stats_registry().dump()
-        assert dump["checkpoint"]["saves"] == stats.saves
-        assert dump["checkpoint"]["corrupt_rejected"] == 0
-
-    def test_hook_runs_do_not_perturb_results(self, tmp_path):
-        # A hooked run must measure exactly what an unhooked run measures
-        # (modulo the checkpoint scope itself): saving is observation-free.
-        config = CORTEX_A76.with_defense(DefenseKind.STT)
-        program = spec_program("531.deepsjeng_r")
-        plain = build_system(config)
-        plain.prepare(program).run()
-
-        manager = CheckpointManager(str(tmp_path / "gen"))
-        hooked = build_system(config)
-        core = hooked.prepare(program)
-        core.checkpoint_hook = CheckpointHook(manager, hooked, program,
-                                              interval=70)
-        core.run()
-        assert blob(hooked) == blob(plain)
