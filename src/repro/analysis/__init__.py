@@ -22,12 +22,13 @@ the same gadgets *without simulating a single cycle*:
 - :mod:`repro.analysis.differential` — the lint-vs-simulator harness that
   cross-checks static verdicts against
   :func:`repro.attacks.matrix.evaluate_matrix` cell by cell;
-- :mod:`repro.analysis.modular` — summary-based modular analysis over the
-  call graph (:class:`AnalysisOptions` selects it), with an incremental
-  summary cache and its own ``--modular-differential`` byte-identity gate.
+- :mod:`repro.analysis.modular` — the call graph and the summary engine
+  that runs every taint fixpoint one function region at a time, with an
+  incremental summary cache (:class:`AnalysisOptions` passes it) that
+  never changes an answer.
 
 ``python -m repro.analysis`` exposes the lint report, the differential
-check, a CI ``--selftest``, and the ``--modular-differential`` gate.
+check, witnesses, repair, and a CI ``--selftest``.
 """
 
 from __future__ import annotations

@@ -20,11 +20,6 @@
   well-formedness over generated workloads, static-vs-EXPECTED agreement,
   the full live differential, one witness-confirm cell, and one
   repair-verify cell.
-- ``python -m repro.analysis --modular-differential`` — prove the
-  summary-based modular engine byte-identical to the whole-program
-  fixpoint over all 66 Table-1 cells, the witness suite, and the
-  committed drill corpus (``--corpus DIR`` overrides), and print the
-  precision ledger; any disagreement exits 2.
 """
 
 from __future__ import annotations
@@ -323,25 +318,6 @@ def _selftest(attacks: Optional[List[str]]) -> int:
     return 1 if failures else 0
 
 
-def _modular_differential(corpus: Optional[str]) -> int:
-    """Byte-identity gate + precision ledger (``--modular-differential``).
-
-    Raises :class:`~repro.errors.AnalysisError` (exit 2) on any
-    disagreement, so CI fails loudly; the rendered report carries the
-    ledger either way.
-    """
-    from repro.analysis.modular.differential import (
-        modular_differential, render_modular)
-    report = modular_differential(corpus_dir=corpus, strict=False)
-    print(render_modular(report))
-    if not report.ok:
-        raise AnalysisError(
-            f"modular differential failed: {len(report.mismatches)} "
-            f"disagreement(s), {len(report.ledger)} precision-ledger "
-            f"entr{'y' if len(report.ledger) == 1 else 'ies'}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -365,13 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument("--selftest", action="store_true",
                       help="CI gate: CFG property + expected-table + "
                            "differential + witness-confirm + repair-verify")
-    mode.add_argument("--modular-differential", action="store_true",
-                      dest="modular_differential",
-                      help="prove modular summary-based verdicts "
-                           "byte-identical to whole-program over Table 1, "
-                           "the witness suite, and the drill corpus; "
-                           "print the precision ledger (exit 2 on any "
-                           "disagreement)")
     parser.add_argument("--attack", action="append", choices=TABLE1_ROWS,
                         help="restrict to one attack (repeatable)")
     parser.add_argument("--kind", action="append",
@@ -391,15 +360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "file (repeatable)")
     parser.add_argument("--emit", metavar="DIR",
                         help="write witness / repaired .s files to DIR")
-    parser.add_argument("--corpus", metavar="DIR", default=None,
-                        help="drill-corpus directory for "
-                             "--modular-differential (default: the "
-                             "committed tests/fuzz/data/drill-corpus)")
     args = parser.parse_args(argv)
 
     try:
-        if args.modular_differential:
-            return _modular_differential(args.corpus)
         if args.selftest:
             return _selftest(args.attack)
         if args.differential:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.gadgets import Gadget, find_gadgets, program_leaks
-from repro.analysis.options import AnalysisOptions
 from repro.attacks import REGISTRY, TABLE1_ROWS, build_variants
 from repro.attacks.common import AttackProgram
 from repro.attacks.matrix import (
@@ -83,7 +82,6 @@ class Mismatch:
 
 def analyze_attack(attack: str,
                    core: Optional[CoreConfig] = None,
-                   options: Optional[AnalysisOptions] = None,
                    ) -> List[VariantAnalysis]:
     """Run the static analyzer over every variant of ``attack``."""
     core = core or CORTEX_A76.core
@@ -91,8 +89,7 @@ def analyze_attack(attack: str,
     for (variant, _), program in zip(REGISTRY[attack], build_variants(attack)):
         secret_ranges = [(program.secret_address,
                           program.secret_address + program.secret_size)]
-        gadgets = find_gadgets(program.builder_program, secret_ranges, core,
-                               options=options)
+        gadgets = find_gadgets(program.builder_program, secret_ranges, core)
         analyses.append(VariantAnalysis(attack, variant, program, gadgets))
     return analyses
 
@@ -108,14 +105,13 @@ def _classify(leaks: Sequence[bool]) -> Mitigation:
 def static_matrix(attacks: Optional[List[str]] = None,
                   defenses: Optional[List[DefenseKind]] = None,
                   core: Optional[CoreConfig] = None,
-                  options: Optional[AnalysisOptions] = None,
                   ) -> Dict[str, Dict[DefenseKind, StaticCell]]:
     """The Table-1 matrix as the static analyzer predicts it."""
     attacks = attacks or TABLE1_ROWS
     defenses = defenses or STATIC_DEFENSES
     matrix: Dict[str, Dict[DefenseKind, StaticCell]] = {}
     for attack in attacks:
-        analyses = analyze_attack(attack, core, options)
+        analyses = analyze_attack(attack, core)
         matrix[attack] = {}
         for defense in defenses:
             leaks = [analysis.leaks(defense) for analysis in analyses]

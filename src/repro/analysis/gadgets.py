@@ -223,28 +223,14 @@ def _find_lfb(taint: TaintResult) -> List[_Pattern]:
     return patterns
 
 
-def _analyze(program: Program, secret_ranges, cfg, stale_loads,
-             options: Optional[AnalysisOptions]) -> TaintResult:
-    """Dispatch one dataflow run per ``options`` (whole-program default).
-
-    Modular mode routes through the summary engine; the pass-2 stale
-    re-run reuses every cached region that contains no sampler load (the
-    stale set only enters a region's cache key where it intersects it).
-    """
-    if options is not None and options.modular:
-        from repro.analysis.modular import analyze_modular
-        return analyze_modular(program, secret_ranges, cfg=cfg,
-                               stale_loads=stale_loads, options=options)
-    return analyze(program, secret_ranges, cfg=cfg, stale_loads=stale_loads)
-
-
 def _pattern_gadgets(program: Program, taint: TaintResult,
                      patterns: List[_Pattern],
                      options: Optional[AnalysisOptions] = None) -> List[Gadget]:
     """Pass 2: re-run taint with the samplers stale, find what the sampled
     value reaches."""
-    stale = _analyze(program, taint.secret_ranges, taint.cfg,
-                     {p.sampler for p in patterns}, options)
+    stale = analyze(program, taint.secret_ranges, cfg=taint.cfg,
+                    stale_loads={p.sampler for p in patterns},
+                    options=options)
     gadgets = []
     for pattern in patterns:
         transmitters: List[int] = []
@@ -285,13 +271,13 @@ def find_gadgets(program: Program,
                  options: Optional[AnalysisOptions] = None) -> List[Gadget]:
     """All transient-leak gadgets of ``program`` (windows + MDS patterns).
 
-    ``options`` selects the dataflow engine (whole-program by default;
-    :meth:`AnalysisOptions.summary_backed` for the modular mode — verdicts
-    are byte-identical by the ``--modular-differential`` contract).
+    ``options`` reaches both taint passes (the MDS stale re-run reuses
+    every cached region that holds no sampler load); a summary cache in it
+    changes no gadget.
     """
     core = core or CoreConfig()
     if taint is None:
-        taint = _analyze(program, secret_ranges, None, (), options)
+        taint = analyze(program, secret_ranges, options=options)
     gadgets: List[Gadget] = []
     for window in compute_windows(taint, core):
         gadget = _window_gadget(taint, window)

@@ -1,5 +1,5 @@
-"""Summary-based modular spec-lint: call graph, per-function summaries,
-and the incremental summary cache.
+"""Summary-based spec-lint: call graph, the taint engine, and the
+incremental summary cache.
 
 Public surface:
 
@@ -9,13 +9,11 @@ Public surface:
 - :func:`~repro.analysis.modular.callgraph.resolved_indirect_targets` /
   :func:`~repro.analysis.modular.callgraph.refine_cfg` — per-branch
   indirect-edge pruning fed back into the CFG;
-- :func:`~repro.analysis.modular.summaries.analyze_modular` /
-  :func:`~repro.analysis.modular.summaries.modular_analysis` — the
-  summary-backed drop-in for whole-program ``analyze``;
+- :func:`~repro.analysis.modular.summaries.modular_analysis` — the taint
+  engine behind :func:`repro.analysis.taint.analyze`, returning the full
+  run (reuse counts, per-function summaries);
 - :class:`~repro.analysis.modular.incremental.SummaryCache` — the
-  persistent content-keyed memo, plus the digest/dirtying helpers;
-- :func:`~repro.analysis.modular.differential.modular_differential` —
-  the byte-identity gate and precision ledger.
+  persistent content-keyed memo, plus the digest/dirtying helpers.
 """
 
 from repro.analysis.modular.callgraph import (
@@ -25,13 +23,16 @@ from repro.analysis.modular.incremental import (
     SUMMARY_SCHEMA, RegionFacts, RegionOutputs, SummaryCache,
     dirty_functions, function_digests)
 from repro.analysis.modular.summaries import (
-    FunctionSummary, ModularAnalysis, analyze_modular, modular_analysis)
+    FunctionSummary, ModularAnalysis, modular_analysis)
+from repro.analysis.taint import analyze
+
+#: benchmarks/perf/seams.py times this name.
+analyze_modular = analyze
 
 __all__ = [
     "CallGraph", "FunctionNode", "build_callgraph", "entry_addresses",
     "refine_cfg", "resolved_indirect_targets",
     "SUMMARY_SCHEMA", "RegionFacts", "RegionOutputs", "SummaryCache",
     "dirty_functions", "function_digests",
-    "FunctionSummary", "ModularAnalysis", "analyze_modular",
-    "modular_analysis",
+    "FunctionSummary", "ModularAnalysis", "modular_analysis",
 ]

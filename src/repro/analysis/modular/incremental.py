@@ -1,9 +1,9 @@
 """Summary persistence: content-keyed cache, digests, and dirtying.
 
-The modular engine (:mod:`repro.analysis.modular.summaries`) memoizes one
-:class:`RegionOutputs` record per (function region × interface inputs).
-The cache key is a SHA-256 over everything the region's answer can depend
-on:
+The taint engine (:mod:`repro.analysis.modular.summaries`), given a
+:class:`SummaryCache`, memoizes one :class:`RegionOutputs` record per
+(function region × interface inputs).  The cache key is a SHA-256 over
+everything the region's answer can depend on:
 
 - the region *content digest* — its instructions' semantic fields keyed
   by address (fixed-width :data:`~repro.isa.instructions.INSTR_BYTES`
@@ -311,7 +311,8 @@ class SummaryCache:
         program with the same fingerprint can hit a record: one file per
         environment holds all of them, and nothing the run cannot use is
         read or rewritten.  Runs in different environments never share a
-        file, so neither drops the other's records when it flushes.
+        file; runs of one environment merge their records at
+        :meth:`flush`.
         """
         env = environment_fingerprint(program, secret_ranges)
         return cls(os.path.join(directory, f"{env}.jsonl"))
@@ -360,11 +361,22 @@ class SummaryCache:
 
     def flush(self) -> None:
         """Rewrite the backing file atomically (no-op without a path or
-        without new records)."""
+        without new records).
+
+        The rewrite keeps the file's current intact records, so runs that
+        share the file keep each other's records.  Keys are content
+        hashes, so a record under an equal key is an equal payload.  A
+        flush whose read and write interleave with another's can still
+        lose that one's new records; a lost record is recomputed the next
+        time it is needed.
+        """
         if self.path is None or not self._dirty:
             return
         os.makedirs(os.path.dirname(os.path.abspath(self.path)),
                     exist_ok=True)
+        records, _ = load_records(self.path, SUMMARY_SCHEMA)
+        for record in records:
+            self._records.setdefault(record["key"], record["payload"])
         write_records(self.path, (
             {"schema": SUMMARY_SCHEMA, "key": key,
              "payload": self._records[key]}

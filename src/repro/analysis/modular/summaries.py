@@ -1,9 +1,9 @@
-"""Summary-based modular taint analysis: the whole-program fixpoint,
-decomposed over the function partition.
+"""The taint engine: the dataflow fixpoint, run region by region over the
+function partition.
 
-The monolithic :func:`repro.analysis.taint.analyze` runs one worklist over
-every block.  This engine runs the *same* transfer functions and the same
-join, but region-at-a-time:
+Every taint run goes through this engine (:func:`repro.analysis.taint
+.analyze` is its entry point).  It applies the transfer functions and the
+join of :mod:`repro.analysis.taint` region-at-a-time:
 
 - Each function (optionally split further at caller-supplied boundary
   addresses) is a *region*.  An inner fixpoint analyzes a region given its
@@ -13,27 +13,24 @@ join, but region-at-a-time:
 - A region's answer (:class:`~repro.analysis.modular.incremental
   .RegionOutputs`) is its cross-edge exports, its joined RET out-state,
   and the per-instruction facts it contributes to the final
-  :class:`~repro.analysis.taint.TaintResult`.  Answers are memoized in a
-  :class:`~repro.analysis.modular.incremental.SummaryCache` keyed by
-  content × edges × environment × region-local stale loads × seeds, so a
-  re-lint after editing one function re-analyzes only the functions whose
-  *inputs* changed — the edited one and (transitively) whatever its new
-  outputs reach.
+  :class:`~repro.analysis.taint.TaintResult`.
 - The outer loop propagates exports between regions until nothing
   changes.  Each (source region → destination block) contribution *joins
   monotonically* with its predecessor, so recursive SCCs — where a
   region's exports feed back into its own seeds — iterate under
   join-widening (:data:`~repro.analysis.taint.CONST_CAP` collapses) and
-  always terminate, mirroring the bounded iteration of the monolithic
-  worklist.
+  always terminate.  Every collapse is recorded in
+  :attr:`~repro.analysis.taint.TaintResult.widenings`, keyed by the block
+  where the two values met; the counts depend on visit order and are
+  diagnostics only.
 
-Parity contract: verdicts derived from the merged facts are byte-identical
-to whole-program analysis.  :data:`~repro.analysis.taint.Value.join` is
-not associative at the constant cap, so identical fact *values* are an
-empirical property, not a theorem — the ``--modular-differential`` gate
-(:mod:`repro.analysis.modular.differential`) enforces it over every
-Table-1 cell, the witness suite, and the drill corpus.  Widening *counts*
-are order-dependent diagnostics and are excluded from parity.
+A :class:`~repro.analysis.modular.incremental.SummaryCache`
+(``AnalysisOptions.cache``) is only a memo.  Region answers are stored
+under a key over content × edges × environment × region-local stale
+loads × seeds, so a re-lint after editing one function re-analyzes only
+the regions whose *inputs* changed, and a hit returns what a cold run
+computes for the same region and seeds.  Without a cache the engine
+computes no digest, key or record.
 """
 
 from __future__ import annotations
@@ -41,13 +38,15 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple)
 
 from repro.analysis import hooks
 from repro.analysis.cfg import CFG, BasicBlock, build_cfg
 from repro.analysis.modular.callgraph import (
-    CALL_KINDS, INTRA_KINDS, CallGraph, build_callgraph, partition_blocks)
+    CALL_KINDS, INTRA_KINDS, CallGraph, _tarjan, build_callgraph,
+    partition_blocks)
 from repro.analysis.modular.incremental import (
     RegionFacts, RegionOutputs, SummaryCache, environment_fingerprint,
     region_content_digest, region_edges_digest, region_key, seeds_digest)
@@ -68,15 +67,12 @@ RET_SRC = -2
 
 @dataclass(frozen=True)
 class _Region:
-    """One unit of modular analysis (a function, or a boundary slice)."""
+    """One unit of the partition (a function, or a boundary slice)."""
 
     rid: int                      # representative root block index
     blocks: Tuple[int, ...]       # CFG block indices, sorted
     block_set: FrozenSet[int]
     name: str                     # owning function's name (diagnostics)
-    content: str                  # content digest
-    edges: str                    # edges digest
-    stale: Tuple[int, ...]        # stale loads ∩ region addresses
 
 
 @dataclass(frozen=True)
@@ -124,11 +120,12 @@ class ModularAnalysis:
     cfg: CFG
     callgraph: CallGraph
     result: TaintResult
-    cache: SummaryCache
-    #: Summary-cache hits/misses booked by *this* run.
+    #: The run's memo, if it had one.
+    cache: Optional[SummaryCache]
+    #: Summary-cache hits/misses booked by *this* run (0 without a cache).
     hits: int
     misses: int
-    #: Function names analyzed live (cache miss) this run, sorted.
+    #: Function names analyzed live (not served by the cache), sorted.
     reanalyzed: Tuple[str, ...]
     #: Total regions the run visited.
     regions: int
@@ -145,7 +142,7 @@ class ModularAnalysis:
 
 
 class _Engine:
-    """One modular analysis run over one linked program."""
+    """One taint run over one linked program."""
 
     def __init__(self, program: Program,
                  secret_ranges: Sequence[Tuple[int, int]],
@@ -158,16 +155,16 @@ class _Engine:
         self.secret_ranges = tuple(secret_ranges)
         self.stale_loads = frozenset(stale_loads)
         self.options = options
-        self.cache = options.cache if options.cache is not None \
-            else SummaryCache()
+        self.cache = options.cache
         self.ctx = _Context(program, self.cfg, self.secret_ranges,
                             self.stale_loads)
         self.callgraph = build_callgraph(program, self.cfg)
+        self.succs = [_effective_succs(block) for block in self.cfg.blocks]
         self.regions: Dict[int, _Region] = {}
         self.region_of_block: Dict[int, int] = {}
         self.topo_index: Dict[int, int] = {}
         self._build_regions()
-        # Return sites, exactly as the monolithic analyze() derives them.
+        # Return sites: the block after each call.
         self.ret_targets: List[int] = []
         for instr in program.instructions:
             if instr.is_call:
@@ -181,6 +178,11 @@ class _Engine:
         self.outputs: Dict[int, RegionOutputs] = {}
         self.engine_widenings: Dict[Tuple[int, int], int] = {}
         self.reanalyzed_regions: Set[int] = set()
+        # Cache keys hash the environment and, per region, its content and
+        # edges digests and stale loads (computed on its first lookup).
+        self.env = (environment_fingerprint(program, self.secret_ranges)
+                    if self.cache is not None else "")
+        self._region_digests: Dict[int, Tuple[str, str, Tuple[int, ...]]] = {}
 
     # -- region construction --------------------------------------------------
 
@@ -203,15 +205,9 @@ class _Engine:
         for rid, blocks in groups.items():
             blocks.sort()
             fn_entry = self.callgraph.function_of_block[blocks[0]]
-            stale = tuple(sorted(
-                addr for addr in self.stale_loads
-                if self.cfg.block_of_addr.get(addr) in blocks))
             self.regions[rid] = _Region(
                 rid=rid, blocks=tuple(blocks), block_set=frozenset(blocks),
-                name=self.callgraph.functions[fn_entry].name,
-                content=region_content_digest(cfg, blocks),
-                edges=region_edges_digest(cfg, blocks),
-                stale=stale)
+                name=self.callgraph.functions[fn_entry].name)
         self._order_regions()
 
     def _order_regions(self) -> None:
@@ -223,7 +219,6 @@ class _Engine:
                     dst = self.region_of_block[succ]
                     if dst != region.rid or kind in CALL_KINDS:
                         edges[region.rid].add(dst)
-        from repro.analysis.modular.callgraph import _tarjan
         sorted_edges = {rid: tuple(sorted(dsts))
                         for rid, dsts in edges.items()}
         components = _tarjan(sorted(self.regions), sorted_edges)
@@ -236,53 +231,61 @@ class _Engine:
 
     # -- interface plumbing ---------------------------------------------------
 
-    def _effective_succs(self, block: BasicBlock) -> List[Tuple[int, str]]:
-        """Successors minus the suppressed call fall edge (parity with
-        the monolithic worklist's return-site handling)."""
-        term = block.terminator
-        callee_known = term.is_call and any(
-            kind in CALL_KINDS for _, kind in block.successors)
-        return [(succ, kind) for succ, kind in block.successors
-                if not (callee_known and kind == "fall")]
+    def _widened(self, start: int, reg: int) -> None:
+        """Book one constant-set collapse at the block starting at ``start``."""
+        key = (start, reg)
+        self.engine_widenings[key] = self.engine_widenings.get(key, 0) + 1
 
-    def _seeds(self, region: _Region) -> Dict[int, State]:
-        """Joined interface states per seeded block of ``region``."""
+    def _seeds(self, blocks: Iterable[int]) -> Dict[int, State]:
+        """Joined interface states per seeded block among ``blocks``; a
+        collapse where two contributions meet is booked at that block."""
         seeds: Dict[int, State] = {}
-        for index in region.blocks:
+        for index in blocks:
             start = self.cfg.blocks[index].start
             contributions = self.incoming.get(start)
             if not contributions:
                 continue
+            note = partial(self._widened, start)
             folded: Optional[State] = None
             for src in sorted(contributions):
-                folded = _join_states(folded, contributions[src])
+                folded = _join_states(folded, contributions[src], note)
             seeds[index] = folded if folded is not None else {}
         return seeds
 
-    def _seeds_payload(self, region: _Region,
-                       seeds: Dict[int, State]) -> Dict[int, State]:
-        return {self.cfg.blocks[index].start: state
-                for index, state in seeds.items()}
-
     # -- the inner (per-region) fixpoint --------------------------------------
 
-    def _region_fixpoint(self, region: _Region, seeds: Dict[int, State],
-                         ) -> Tuple[Dict[int, State],
-                                    Dict[Tuple[int, int], int]]:
-        cfg = self.cfg
+    def _region_fixpoint(self, block_set: FrozenSet[int],
+                         seeds: Dict[int, State],
+                         widenings: Dict[Tuple[int, int], int],
+                         ) -> Tuple[Dict[int, State], Dict[int, RegionFacts]]:
+        """Run the blocks of ``block_set`` to their fixpoint from ``seeds``;
+        per reached block, return the out-state and facts of its last visit.
+
+        A block is re-queued whenever its in-state changes, so its last
+        visit saw its final in-state: that visit's out-state and facts are
+        the block's answer.  Every visit records facts at the same
+        addresses, so each block keeps one facts record that its last
+        visit overwrites.  Collapses at intra-region joins are counted in
+        ``widenings``.
+        """
+        blocks = self.cfg.blocks
         in_states: Dict[int, State] = {
             index: _join_states(None, state)
             for index, state in seeds.items()}
-        widenings: Dict[Tuple[int, int], int] = {}
+        outs: Dict[int, State] = {}
+        facts: Dict[int, RegionFacts] = {}
         work = deque(sorted(in_states))
         while work:
             index = work.popleft()
-            block = cfg.blocks[index]
-            out = _run_block(self.ctx, block, dict(in_states[index]), None)
-            for succ, kind in self._effective_succs(block):
-                if succ not in region.block_set or kind not in INTRA_KINDS:
+            block_facts = facts.get(index)
+            if block_facts is None:
+                block_facts = facts[index] = RegionFacts()
+            out = outs[index] = _run_block(
+                self.ctx, blocks[index], dict(in_states[index]), block_facts)
+            for succ, kind in self.succs[index]:
+                if succ not in block_set or kind not in INTRA_KINDS:
                     continue
-                start = cfg.blocks[succ].start
+                start = blocks[succ].start
 
                 def note(reg: int, _start: int = start) -> None:
                     key = (_start, reg)
@@ -293,42 +296,36 @@ class _Engine:
                     in_states[succ] = joined
                     if succ not in work:
                         work.append(succ)
-        return in_states, widenings
+        return outs, facts
 
     def _run_region(self, region: _Region,
                     seeds: Dict[int, State]) -> RegionOutputs:
-        cfg = self.cfg
-        in_states, widenings = self._region_fixpoint(region, seeds)
+        blocks = self.cfg.blocks
+        widenings: Dict[Tuple[int, int], int] = {}
+        outs, block_facts = self._region_fixpoint(region.block_set, seeds,
+                                                  widenings)
         cross: Dict[int, State] = {}
         ret_state: Optional[State] = None
-        for index in sorted(in_states):
-            block = cfg.blocks[index]
-            out = _run_block(self.ctx, block, dict(in_states[index]), None)
-            for succ, kind in self._effective_succs(block):
+        for index in sorted(outs):
+            out = outs[index]
+            for succ, kind in self.succs[index]:
                 if succ in region.block_set and kind in INTRA_KINDS:
                     continue
-                start = cfg.blocks[succ].start
+                start = blocks[succ].start
                 cross[start] = _join_states(cross.get(start), out)
-            if block.terminator.is_return:
+            if blocks[index].terminator.is_return:
                 ret_state = _join_states(ret_state, out)
-        facts = TaintResult(program=self.program, cfg=cfg,
-                            secret_ranges=self.secret_ranges)
-        for index in sorted(in_states):
-            _run_block(self.ctx, cfg.blocks[index],
-                       dict(in_states[index]), facts)
-        return RegionOutputs(
-            cross=cross, ret=ret_state,
-            facts=RegionFacts(loads=facts.loads, stores=facts.stores,
-                              branches=facts.branches,
-                              contention=facts.contention,
-                              widenings=widenings))
+        facts = _merged(block_facts)
+        facts.widenings = widenings
+        return RegionOutputs(cross=cross, ret=ret_state, facts=facts)
 
     def _region_outputs(self, region: _Region,
                         seeds: Dict[int, State]) -> RegionOutputs:
-        """Memoized region analysis (the incremental hot path)."""
-        key = region_key(region.content, region.edges, self.env,
-                         region.stale,
-                         seeds_digest(self._seeds_payload(region, seeds)))
+        """The region's answer, through the cache when there is one."""
+        if self.cache is None:
+            self.reanalyzed_regions.add(region.rid)
+            return self._run_region(region, seeds)
+        key = self._region_key(region, seeds)
         payload = self.cache.get(key)
         if payload is not None:
             outputs = RegionOutputs.from_json(payload, self.program)
@@ -340,19 +337,29 @@ class _Engine:
         self.reanalyzed_regions.add(region.rid)
         return outputs
 
+    def _region_key(self, region: _Region, seeds: Dict[int, State]) -> str:
+        digests = self._region_digests.get(region.rid)
+        if digests is None:
+            stale = tuple(sorted(
+                addr for addr in self.stale_loads
+                if self.cfg.block_of_addr.get(addr) in region.block_set))
+            digests = self._region_digests[region.rid] = (
+                region_content_digest(self.cfg, region.blocks),
+                region_edges_digest(self.cfg, region.blocks), stale)
+        content, edges, stale = digests
+        payload = {self.cfg.blocks[index].start: state
+                   for index, state in seeds.items()}
+        return region_key(content, edges, self.env, stale,
+                          seeds_digest(payload))
+
     # -- the outer (interface) fixpoint ---------------------------------------
 
     def _accumulate(self, dst_start: int, src: int, state: State) -> bool:
         """Join ``state`` into the (src → dst) contribution; True on change."""
         contributions = self.incoming.setdefault(dst_start, {})
         previous = contributions.get(src)
-
-        def note(reg: int, _start: int = dst_start) -> None:
-            key = (_start, reg)
-            self.engine_widenings[key] = \
-                self.engine_widenings.get(key, 0) + 1
-
-        joined = _join_states(previous, state, note)
+        joined = _join_states(previous, state,
+                              partial(self._widened, dst_start))
         if previous is not None and joined == previous:
             return False
         contributions[src] = joined
@@ -360,8 +367,7 @@ class _Engine:
 
     def run(self) -> ModularAnalysis:
         cfg = self.cfg
-        self.env = environment_fingerprint(self.program, self.secret_ranges)
-        hits0, misses0 = self.cache.hits, self.cache.misses
+        hits0, misses0 = self._traffic()
 
         entry_start = cfg.entry_block.start
         self.incoming[entry_start] = {ENTRY_SRC: {}}
@@ -380,7 +386,7 @@ class _Engine:
             _, rid = heapq.heappop(heap)
             pending.discard(rid)
             region = self.regions[rid]
-            seeds = self._seeds(region)
+            seeds = self._seeds(region.blocks)
             outputs = self._region_outputs(region, seeds)
             self.outputs[rid] = outputs
             for dst_start in sorted(outputs.cross):
@@ -394,22 +400,35 @@ class _Engine:
                     self.ret_contrib[rid] = joined
                     self._refresh_global_ret(enqueue)
 
-        return self._assemble(hits0, misses0)
+        hits, misses = self._traffic()
+        return self._assemble(hits - hits0, misses - misses0)
+
+    def _traffic(self) -> Tuple[int, int]:
+        """The cache's hit and miss counts so far; no cache, no lookups."""
+        if self.cache is None:
+            return 0, 0
+        return self.cache.hits, self.cache.misses
 
     def _refresh_global_ret(self, enqueue) -> None:
+        # A collapse where two RET out-states meet happens at every return
+        # site they flow to, so each return site books it.
+        collapsed: List[int] = []
         folded: Optional[State] = None
         for rid in sorted(self.ret_contrib):
-            folded = _join_states(folded, self.ret_contrib[rid])
+            folded = _join_states(folded, self.ret_contrib[rid],
+                                  collapsed.append)
         if folded == self.global_ret:
             return
         self.global_ret = folded
         assert folded is not None
         for index in self.ret_targets:
             start = self.cfg.blocks[index].start
+            for reg in collapsed:
+                self._widened(start, reg)
             if self._accumulate(start, RET_SRC, folded):
                 enqueue(self.region_of_block[index])
 
-    def _assemble(self, hits0: int, misses0: int) -> ModularAnalysis:
+    def _assemble(self, hits: int, misses: int) -> ModularAnalysis:
         result = TaintResult(program=self.program, cfg=self.cfg,
                              secret_ranges=self.secret_ranges)
         widenings: Dict[Tuple[int, int], int] = dict(self.engine_widenings)
@@ -428,8 +447,6 @@ class _Engine:
 
         reanalyzed = tuple(sorted({self.regions[rid].name
                                    for rid in self.reanalyzed_regions}))
-        hits = self.cache.hits - hits0
-        misses = self.cache.misses - misses0
         if self.options.stats is not None:
             self.options.stats.book_run(
                 hits=hits, misses=misses,
@@ -449,35 +466,22 @@ class _Engine:
         addr_set = {instr.address
                     for index in node.blocks
                     for instr in cfg.blocks[index].instructions}
-        fn_region = _Region(
-            rid=cfg.block_of_addr[node.entry] if node.entries
-            else node.blocks[0],
-            blocks=node.blocks, block_set=frozenset(node.blocks),
-            name=node.name, content="", edges="", stale=())
+        block_set = frozenset(node.blocks)
 
-        # Contextual run: interface seeds as the real analysis saw them.
-        seeds: Dict[int, State] = {}
-        for index in node.blocks:
-            start = cfg.blocks[index].start
-            contributions = self.incoming.get(start)
-            if not contributions:
-                continue
-            folded: Optional[State] = None
-            for src in sorted(contributions):
-                folded = _join_states(folded, contributions[src])
-            if folded is not None:
-                seeds[index] = folded
-        in_states, _ = self._region_fixpoint(fn_region, seeds)
-        contextual = self._function_facts(fn_region, in_states)
+        # Contextual run: interface seeds as the real analysis saw them
+        # (folding them again books no collapse the run did not book).
+        seeds = self._seeds(node.blocks)
+        outs, facts = self._region_fixpoint(block_set, seeds, {})
+        contextual = _merged(facts)
 
         # Isolated run: empty seeds at the entry — what the function does
         # with *untainted* caller inputs.
         entry_block = cfg.block_of_addr.get(node.entry)
         isolated_seeds: Dict[int, State] = {}
-        if entry_block is not None and entry_block in fn_region.block_set:
+        if entry_block is not None and entry_block in block_set:
             isolated_seeds[entry_block] = {}
-        iso_states, _ = self._region_fixpoint(fn_region, isolated_seeds)
-        isolated = self._function_facts(fn_region, iso_states)
+        _, iso_facts = self._region_fixpoint(block_set, isolated_seeds, {})
+        isolated = _merged(iso_facts)
 
         transmitters = _transmitters(contextual, addr_set)
         unconditional = set(_transmitters(isolated, addr_set))
@@ -496,23 +500,21 @@ class _Engine:
         continuations: List[int] = []
         boundary = set(addr for addr, _ in node.call_sites)
         boundary.update(node.return_addrs)
-        for index in sorted(in_states):
+        for index in sorted(outs):
             block = cfg.blocks[index]
-            out = _run_block(self.ctx, block, dict(in_states[index]), None)
+            out = outs[index]
             if block.terminator.address in boundary and any(
                     value.loaded for value in out.values()):
                 continuations.append(block.terminator.address)
             if block.terminator.is_return:
                 ret_state = _join_states(ret_state, out)
 
+        own = self.outputs.get(self.region_of_block.get(node.blocks[0], -1))
+        region_widenings = own.facts.widenings if own is not None else {}
         widened = any(
-            cfg.block_of_addr.get(start) in fn_region.block_set
-            for (start, _reg) in self.outputs.get(
-                self.region_of_block.get(node.blocks[0], -1),
-                RegionOutputs({}, None, RegionFacts())).facts.widenings)
-        widened = widened or any(
-            cfg.block_of_addr.get(start) in fn_region.block_set
-            for (start, _reg) in self.engine_widenings)
+            cfg.block_of_addr.get(start) in block_set
+            for (start, _reg) in list(region_widenings)
+            + list(self.engine_widenings))
 
         return FunctionSummary(
             name=node.name, entry=node.entry, params=params,
@@ -526,14 +528,33 @@ class _Engine:
                 self.callgraph.component_of[node.entry]]),
             widened=widened)
 
-    def _function_facts(self, region: _Region,
-                        in_states: Dict[int, State]) -> TaintResult:
-        facts = TaintResult(program=self.program, cfg=self.cfg,
-                            secret_ranges=self.secret_ranges)
-        for index in sorted(in_states):
-            _run_block(self.ctx, self.cfg.blocks[index],
-                       dict(in_states[index]), facts)
-        return facts
+
+def _effective_succs(block: BasicBlock) -> List[Tuple[int, str]]:
+    """Successors minus a call's fall edge.
+
+    The fall edge out of a call is the *return site*: caller state reaches
+    it through the callee (call edge -> ... -> RET), not directly, and
+    flowing the pre-call state across would wipe the callee's effects at
+    every join.  The direct edge stays only when the call has no
+    resolvable callee at all.
+    """
+    term = block.terminator
+    callee_known = term.is_call and any(
+        kind in CALL_KINDS for _, kind in block.successors)
+    return [(succ, kind) for succ, kind in block.successors
+            if not (callee_known and kind == "fall")]
+
+
+def _merged(facts: Dict[int, RegionFacts]) -> RegionFacts:
+    """Per-block facts as one record, in block order."""
+    merged = RegionFacts()
+    for index in sorted(facts):
+        block = facts[index]
+        merged.loads.update(block.loads)
+        merged.stores.update(block.stores)
+        merged.branches.update(block.branches)
+        merged.contention.update(block.contention)
+    return merged
 
 
 def _params(cfg: CFG, blocks: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -550,7 +571,7 @@ def _params(cfg: CFG, blocks: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(sorted(params))
 
 
-def _transmitters(facts: TaintResult,
+def _transmitters(facts: RegionFacts,
                   addr_set: Set[int]) -> Tuple[Tuple[int, str], ...]:
     """Secret-dependent transmitter obligations within ``addr_set``."""
     out: List[Tuple[int, str]] = []
@@ -590,18 +611,7 @@ def modular_analysis(program: Program,
                      stale_loads: Iterable[int] = (),
                      options: Optional[AnalysisOptions] = None,
                      ) -> ModularAnalysis:
-    """Run the modular engine and return the full run object."""
-    if options is None:
-        options = AnalysisOptions.summary_backed()
-    engine = _Engine(program, tuple(secret_ranges), cfg, stale_loads, options)
+    """Run the taint engine and return the full run object."""
+    engine = _Engine(program, tuple(secret_ranges), cfg, stale_loads,
+                     options if options is not None else AnalysisOptions())
     return engine.run()
-
-
-def analyze_modular(program: Program,
-                    secret_ranges: Sequence[Tuple[int, int]] = (),
-                    cfg: Optional[CFG] = None,
-                    stale_loads: Iterable[int] = (),
-                    options: Optional[AnalysisOptions] = None) -> TaintResult:
-    """Drop-in for :func:`repro.analysis.taint.analyze`, summary-backed."""
-    return modular_analysis(program, secret_ranges, cfg, stale_loads,
-                            options).result

@@ -1,15 +1,12 @@
-"""Analysis entry-point options: whole-program vs. summary-backed modular.
+"""Analysis entry-point options: the summary cache and region boundaries.
 
-:class:`AnalysisOptions` selects how :func:`~repro.analysis.gadgets
-.find_gadgets` (and everything above it — the differential matrix, the
-service worker, the fuzz executor) runs the taint dataflow.  The default
-is the classic whole-program fixpoint of :func:`~repro.analysis.taint
-.analyze`; ``modular=True`` routes through
-:func:`repro.analysis.modular.analyze_modular` — the same fixpoint
-equations decomposed over the function partition, with per-function
-summaries memoized in a :class:`~repro.analysis.modular.incremental
-.SummaryCache` so re-linting an edited program only re-analyzes the
-functions whose bodies (or interface inputs) changed.
+:class:`AnalysisOptions` says how :func:`~repro.analysis.taint.analyze`
+(and everything above it — :func:`~repro.analysis.gadgets.find_gadgets`,
+the service worker, the fuzz executor) runs the summary engine of
+:mod:`repro.analysis.modular.summaries`.  The default computes every
+region live; a :class:`~repro.analysis.modular.incremental.SummaryCache`
+memoizes per-region answers, so re-linting an edited program only
+re-analyzes the functions whose bodies (or interface inputs) changed.
 
 This module is deliberately dependency-light: it imports nothing from the
 modular package at runtime so :mod:`repro.analysis.gadgets` can take an
@@ -28,41 +25,33 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 @dataclass
 class AnalysisOptions:
-    """How the gadget finder runs the dataflow.
+    """How the taint engine runs.
 
     Attributes:
-        modular: run the summary-backed modular fixpoint instead of the
-            whole-program one.  Verdicts are byte-identical by contract
-            (the ``--modular-differential`` CI gate enforces it).
-        cache: summary memo shared across runs; ``None`` means a private
-            in-memory cache per :func:`analyze_modular` call (no reuse).
+        cache: summary memo shared across runs; ``None`` computes every
+            region live and no cache key at all.  A hit returns what a
+            cold run computes, so the cache never changes an answer.
         boundaries: extra instruction addresses where the function
             partition must split — e.g. fuzz-candidate section starts,
             which otherwise form one inline function and would defeat
-            function-granular reuse.
+            function-granular reuse.  They change only the partition.
         stats: optional :class:`~repro.telemetry.analysis.ModularStats`
-            handle; every modular run books its summary hit/miss/SCC
-            counters there.
+            handle; every run books its summary hit/miss/SCC counters
+            there.
     """
 
-    modular: bool = False
     cache: Optional["SummaryCache"] = None
     boundaries: Tuple[int, ...] = ()
     stats: Optional["ModularStats"] = None
-
-    @classmethod
-    def whole_program(cls) -> "AnalysisOptions":
-        """The default: the classic monolithic fixpoint."""
-        return cls()
 
     @classmethod
     def summary_backed(cls, cache: Optional["SummaryCache"] = None,
                        boundaries: Iterable[int] = (),
                        stats: Optional["ModularStats"] = None,
                        ) -> "AnalysisOptions":
-        """Modular mode with a (fresh in-memory, unless given) cache."""
+        """Options with a cache (a fresh in-memory one unless given)."""
         if cache is None:
             from repro.analysis.modular.incremental import SummaryCache
             cache = SummaryCache()
-        return cls(modular=True, cache=cache,
-                   boundaries=tuple(sorted(boundaries)), stats=stats)
+        return cls(cache=cache, boundaries=tuple(sorted(boundaries)),
+                   stats=stats)

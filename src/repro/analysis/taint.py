@@ -1,7 +1,7 @@
 """Forward taint and bounded-constant dataflow over a program's CFG.
 
-The analysis walks the CFG to a fixed point propagating one :class:`Value`
-per architectural register.  A value is a *bounded constant set* (collapsed
+The analysis propagates one :class:`Value` per architectural register to
+a fixed point.  A value is a *bounded constant set* (collapsed
 to "unknown" past :data:`CONST_CAP` members) plus taint flags:
 
 - ``attacker`` — may be influenced by memory contents (every load result);
@@ -25,24 +25,33 @@ limit DESIGN.md documents.
 
 The analysis is interprocedural but context-insensitive: ``BL``/``BLR``
 flow into callees through the CFG's call/indirect edges, and every ``RET``
-flows to every return site.
+flows to every return site.  This module holds the value domain, the
+transfer functions and the join; :func:`analyze` runs them to a fixed point
+through the summary engine of :mod:`repro.analysis.modular.summaries`,
+one function region at a time.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple)
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional,
+    Sequence, Set, Tuple)
 
 from repro.analysis import hooks
-from repro.analysis.cfg import CFG, BasicBlock, build_cfg
+from repro.analysis.cfg import CFG, BasicBlock
+# The engine builds the CFG; benchmarks/perf/seams.py times this name.
+from repro.analysis.cfg import build_cfg  # noqa: F401
 from repro.isa.instructions import FLAGS_REG, INSTR_BYTES, Instruction, Opcode
 from repro.isa.program import DataSegment, Program
 from repro.isa.registers import XZR
 from repro.mte.tags import key_of, strip_tag, with_key
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.analysis.modular.incremental import RegionFacts
+    from repro.analysis.options import AnalysisOptions
 
 MASK64 = (1 << 64) - 1
 #: Constant sets larger than this collapse to "unknown" (widening).
@@ -406,7 +415,7 @@ def _address_value(state: State, instr: Instruction) -> Tuple[Value, Value, Valu
 
 
 def _step(ctx: _Context, instr: Instruction, state: State,
-          facts: Optional[TaintResult]) -> None:
+          facts: Optional["RegionFacts"]) -> None:
     """Transfer function for one instruction (mutates ``state``)."""
     op = instr.op
     addr = instr.address
@@ -485,7 +494,7 @@ def _step(ctx: _Context, instr: Instruction, state: State,
 
 
 def _run_block(ctx: _Context, block: BasicBlock, state: State,
-               facts: Optional[TaintResult]) -> State:
+               facts: Optional["RegionFacts"]) -> State:
     for instr in block.instructions:
         _step(ctx, instr, state, facts)
     return state
@@ -494,69 +503,20 @@ def _run_block(ctx: _Context, block: BasicBlock, state: State,
 def analyze(program: Program,
             secret_ranges: Sequence[Tuple[int, int]] = (),
             cfg: Optional[CFG] = None,
-            stale_loads: Iterable[int] = ()) -> TaintResult:
+            stale_loads: Iterable[int] = (),
+            options: Optional["AnalysisOptions"] = None) -> TaintResult:
     """Run the dataflow to a fixed point and return the recorded facts.
 
     ``secret_ranges`` are untagged [start, end) byte ranges holding planted
     secrets (for attack PoCs, the :class:`~repro.attacks.common
     .AttackProgram`'s secret); ``stale_loads`` marks load addresses whose
     results should carry the ``stale`` flag (the MDS pass-2 re-run).
+    ``options`` may carry a summary cache, which memoizes region answers,
+    and extra region boundaries; neither changes the facts.
     """
-    program.link()
-    if cfg is None:
-        cfg = build_cfg(program)
-    ctx = _Context(program, cfg, tuple(secret_ranges), frozenset(stale_loads))
-
-    # Return sites: every RET's out-state flows to the block after each call.
-    ret_targets = []
-    for instr in program.instructions:
-        if instr.is_call:
-            site = instr.address + INSTR_BYTES
-            if site in cfg.block_of_addr:
-                ret_targets.append(cfg.block_of_addr[site])
-
-    entry = cfg.entry_block.index
-    in_states: Dict[int, State] = {entry: {}}
-    widenings: Dict[Tuple[int, int], int] = {}
-    work = deque([entry])
-    while work:
-        index = work.popleft()
-        block = cfg.blocks[index]
-        out = _run_block(ctx, block, dict(in_states[index]), None)
-        # The fall edge out of a call is the *return site*: caller state
-        # reaches it through the callee (call edge -> ... -> RET below),
-        # not directly — flowing the pre-call state across would wipe the
-        # callee's effects at every join.  Keep the direct edge only when
-        # the call has no resolvable callee at all.
-        term = block.terminator
-        callee_known = term.is_call and any(
-            kind in ("call", "indirect") for _, kind in block.successors)
-        succs = [succ for succ, kind in block.successors
-                 if not (callee_known and kind == "fall")]
-        if term.is_return:
-            succs.extend(ret_targets)
-        for succ in succs:
-            start = cfg.blocks[succ].start
-
-            def note(reg: int, _start: int = start) -> None:
-                key = (_start, reg)
-                widenings[key] = widenings.get(key, 0) + 1
-
-            joined = _join_states(in_states.get(succ), out, note)
-            if succ not in in_states or joined != in_states[succ]:
-                in_states[succ] = joined
-                if succ not in work:
-                    work.append(succ)
-
-    facts = TaintResult(program=program, cfg=cfg,
-                        secret_ranges=ctx.secret_ranges,
-                        widenings=widenings)
-    for index, state in in_states.items():
-        _run_block(ctx, cfg.blocks[index], dict(state), facts)
-    sink = hooks.coverage_sink()
-    if sink is not None:
-        _emit_taint_coverage(facts, sink)
-    return facts
+    from repro.analysis.modular.summaries import modular_analysis
+    return modular_analysis(program, secret_ranges, cfg, stale_loads,
+                            options).result
 
 
 def _provenance(value: Value) -> str:
@@ -569,8 +529,8 @@ def _provenance(value: Value) -> str:
 def _emit_taint_coverage(facts: TaintResult, sink) -> None:
     """One ``taint:<provenance>:<transmitter>`` edge per tainted fact.
 
-    Emitted only from the final fact-recording pass (never inside the
-    fixpoint), and only when a sink is installed — the fuzzer's coverage
+    Emitted only for the assembled result (never inside the fixpoint),
+    and only when a sink is installed — the fuzzer's coverage
     signal for "the dataflow moved taint somewhere new".
     """
     for fact in facts.loads.values():

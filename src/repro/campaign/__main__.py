@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -86,8 +87,24 @@ def _smoke_config() -> CampaignConfig:
 
 
 def smoke(base_dir: str = "", verbose: bool = True) -> int:
+    """Run the smoke in ``base_dir``, or in a temp dir that is removed when
+    the smoke passes and kept (its path printed) when it fails."""
+    if base_dir:
+        return _smoke(base_dir, verbose)
+    base = tempfile.mkdtemp(prefix="campaign-smoke-")
+    code = 1
+    try:
+        code = _smoke(base, verbose)
+    finally:
+        if code == 0:
+            shutil.rmtree(base, ignore_errors=True)
+        else:
+            print(f"smoke: artifacts kept in {base}", file=sys.stderr)
+    return code
+
+
+def _smoke(base: str, verbose: bool) -> int:
     say = _progress if verbose else (lambda message: None)
-    base = base_dir or tempfile.mkdtemp(prefix="campaign-smoke-")
     config = _smoke_config()
     dir_ref = os.path.join(base, "uninterrupted")
     dir_kill = os.path.join(base, "interrupted")

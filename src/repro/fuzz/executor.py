@@ -269,10 +269,10 @@ class FuzzExecutor:
               ) -> Tuple[List[Gadget], List[str]]:
         """Static oracle with the coverage sink installed.
 
-        Runs summary-backed against the executor-lifetime cache, with the
-        candidate's label addresses as partition boundaries — verdicts
-        are byte-identical to whole-program by the modular-differential
-        contract (the drill corpus is one of its suites).
+        Runs against the executor-lifetime summary cache, with the
+        candidate's label addresses as partition boundaries.  Neither
+        changes a verdict: ``tests/analysis/test_lint_golden.py`` lints the
+        drill corpus this way and with no cache, and compares.
         """
         from repro.analysis.options import AnalysisOptions
         program = candidate.attack.builder_program

@@ -31,7 +31,8 @@ from typing import List, Optional
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.gadgets import find_gadgets, leaks_under
-from repro.analysis.taint import analyze
+from repro.analysis.modular import SummaryCache, modular_analysis
+from repro.analysis.options import AnalysisOptions
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import EXIT_TYPED_FAILURE
 from repro.config import CORTEX_A76, DefenseKind
@@ -132,22 +133,19 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
     cfg = build_cfg(program)
     problems = cfg.check_well_formed()
     # Function-granular reuse beneath the server's whole-program verdict
-    # cache: a job carrying ``summary_dir`` lints through the modular
-    # engine against the persistent summary cache, so a resubmission that
-    # edited one function re-analyzes only it and its transitive callers.
-    # The cache is the job's environment's own file, the only records it
-    # can hit.
+    # cache: a job carrying ``summary_dir`` lints against the persistent
+    # summary cache, so a resubmission that edited one function
+    # re-analyzes only it and its transitive callers.  The cache is the
+    # job's environment's own file, the only records it can hit.
+    cache = (SummaryCache.for_program(job["summary_dir"], program,
+                                      secret_ranges)
+             if job.get("summary_dir") else None)
+    options = AnalysisOptions(cache=cache)
+    run = modular_analysis(program, secret_ranges, cfg=cfg, options=options)
+    gadgets = find_gadgets(program, secret_ranges, taint=run.result,
+                           options=options)
     summary: Optional[dict] = None
-    if job.get("summary_dir"):
-        from repro.analysis.modular import SummaryCache, modular_analysis
-        from repro.analysis.options import AnalysisOptions
-        cache = SummaryCache.for_program(job["summary_dir"], program,
-                                         secret_ranges)
-        options = AnalysisOptions.summary_backed(cache=cache)
-        run = modular_analysis(program, secret_ranges, cfg=cfg,
-                               options=options)
-        gadgets = find_gadgets(program, secret_ranges, taint=run.result,
-                               options=options)
+    if cache is not None:
         cache.flush()
         # Cache totals cover both taint passes (the MDS stale re-run
         # included); the worker process is fresh per job, so they are
@@ -155,9 +153,6 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
         summary = {"hits": cache.hits, "misses": cache.misses,
                    "reanalyzed": list(run.reanalyzed),
                    "cached_regions": len(cache)}
-    else:
-        gadgets = find_gadgets(program, secret_ranges,
-                               taint=analyze(program, secret_ranges, cfg=cfg))
     beat(2)
     verdicts = {defense.value: any(leaks_under(g, defense) for g in gadgets)
                 for defense in DefenseKind}

@@ -167,6 +167,25 @@ def test_caches_of_two_environments_keep_both_records(tmp_path):
         assert warm.hits == cold.hits + cold.misses
 
 
+def test_overlapping_runs_of_one_environment_keep_both_records(tmp_path):
+    directory = str(tmp_path)
+    first_program, ranges = bench_program(functions=2, edits={0: 5})
+    second_program, _ = bench_program(functions=2, edits={1: 7})
+    # Both open the environment's file before either flushes.
+    first = SummaryCache.for_program(directory, first_program, ranges)
+    second = SummaryCache.for_program(directory, second_program, ranges)
+    assert first.path == second.path
+    _lint(first_program, ranges, first)
+    _lint(second_program, ranges, second)
+    union = SummaryCache()
+    _lint(first_program, ranges, union)
+    _lint(second_program, ranges, union)
+    assert (len(first), len(second), len(union)) == (10, 10, 12)
+    first.flush()
+    second.flush()      # must keep the records ``first`` just wrote
+    assert len(SummaryCache(first.path)) == len(union)
+
+
 # ----------------------------------------------------------------------
 # digests + reverse-call-graph dirtying
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests: call-graph well-formedness and modular/whole-program parity.
+"""Property tests: call-graph well-formedness and summary-cache parity.
 
 Generative coverage over the same program spaces the repo already owns:
 SPEC/PARSEC workload generation (realistic call-heavy programs) and the
@@ -7,7 +7,8 @@ invariants:
 
 - every direct ``BL`` in the text owns a call edge in the call graph;
 - the SCC condensation is acyclic in bottom-up order;
-- summary-backed ``find_gadgets`` is byte-identical to whole-program.
+- ``find_gadgets`` through a summary cache shared across every example is
+  byte-identical to a run with no cache.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from repro.analysis.gadgets import find_gadgets  # noqa: E402
 from repro.analysis.modular import (  # noqa: E402
     SummaryCache,
     build_callgraph,
-    modular_analysis,
 )
 from repro.analysis.options import AnalysisOptions  # noqa: E402
 from repro.fuzz.generator import (  # noqa: E402
@@ -72,14 +72,16 @@ def _check_callgraph(program):
                 assert position[b] < position[a]
 
 
+#: One cache for every example: a record computed for one program must
+#: never change another program's answer.
+SHARED = AnalysisOptions(cache=SummaryCache())
+
+
 def _check_parity(program, secret_ranges):
-    options = AnalysisOptions.summary_backed(cache=SummaryCache())
-    run = modular_analysis(program, secret_ranges, options=options)
-    modular = [g.render() for g in
-               find_gadgets(program, secret_ranges, taint=run.result,
-                            options=options)]
-    whole = [g.render() for g in find_gadgets(program, secret_ranges)]
-    assert modular == whole
+    cold = [g.render() for g in find_gadgets(program, secret_ranges)]
+    shared = [g.render() for g in
+              find_gadgets(program, secret_ranges, options=SHARED)]
+    assert shared == cold
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.modular import analyze_modular
 from repro.analysis.taint import Value, _Context, analyze, const_value
 from repro.isa import assemble
 from repro.isa.program import DataSegment
@@ -81,9 +80,9 @@ def test_same_named_segments_summarize_their_own_words():
         LDR X5, [X4, X3]
         HALT
     """)
-    for result in (analyze(program), analyze_modular(program)):
-        assert result.loads[0x1008].result.consts == (1, 2, 3)
-        assert result.loads[0x1010].result.consts == (7, 8, 9)
+    result = analyze(program)
+    assert result.loads[0x1008].result.consts == (1, 2, 3)
+    assert result.loads[0x1010].result.consts == (7, 8, 9)
 
 
 def test_transient_out_of_segment_offset_still_summarizes():
