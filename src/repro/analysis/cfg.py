@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import AnalysisError
 from repro.isa.instructions import INSTR_BYTES, Instruction, Opcode
@@ -58,15 +58,10 @@ def address_taken(program: Program) -> FrozenSet[int]:
 
 
 def successors(program: Program, instr: Instruction,
-               indirect_targets: Iterable[int] = (),
-               per_branch_targets: Optional[Mapping[int, Iterable[int]]]
-               = None) -> List[Tuple[int, str]]:
-    """Architectural successor addresses of ``instr`` with edge kinds.
-
-    ``per_branch_targets`` maps an individual ``BR``/``BLR`` instruction
-    address to *its* resolved target set; branches absent from the map fall
-    back to the global ``indirect_targets`` over-approximation.
-    """
+               indirect_targets: Iterable[int] = ()
+               ) -> List[Tuple[int, str]]:
+    """Architectural successor addresses of ``instr`` with edge kinds;
+    every ``BR``/``BLR`` reaches all of ``indirect_targets``."""
     next_addr = instr.address + INSTR_BYTES
     has_next = program.fetch(next_addr) is not None
     out: List[Tuple[int, str]] = []
@@ -92,11 +87,7 @@ def successors(program: Program, instr: Instruction,
             out.append((next_addr, "fall"))
         return out
     if op in (Opcode.BLR, Opcode.BR):
-        targets = indirect_targets
-        if per_branch_targets is not None \
-                and instr.address in per_branch_targets:
-            targets = per_branch_targets[instr.address]
-        out.extend((t, "indirect") for t in sorted(targets))
+        out.extend((t, "indirect") for t in sorted(indirect_targets))
         if op is Opcode.BLR and has_next:
             out.append((next_addr, "fall"))
         return out
@@ -215,30 +206,17 @@ def require_well_formed(program: Program) -> CFG:
 
 
 def build_cfg(program: Program,
-              indirect_targets: Optional[Iterable[int]] = None,
-              per_branch_targets: Optional[Mapping[int, Iterable[int]]]
-              = None) -> CFG:
+              indirect_targets: Optional[Iterable[int]] = None) -> CFG:
     """Construct the CFG of ``program`` (linked in place if needed).
 
     ``indirect_targets`` defaults to :func:`address_taken`; pass an explicit
     set to narrow ``BR``/``BLR`` edges (e.g. from taint-resolved constants).
-
-    ``per_branch_targets`` narrows *individual* indirect branches: a map
-    from ``BR``/``BLR`` instruction address to the target set whose
-    MTE-key-stripped literals actually reach that branch's register
-    (:func:`repro.analysis.modular.resolved_indirect_targets`).  Branches
-    not in the map keep the global over-approximation, so a widened
-    constant set degrades gracefully instead of dropping edges.
     """
     program.link()
     if not program.instructions:
         raise ValueError("cannot build a CFG for an empty program")
     targets = (frozenset(indirect_targets) if indirect_targets is not None
                else address_taken(program))
-    per_branch: Optional[Dict[int, Tuple[int, ...]]] = None
-    if per_branch_targets is not None:
-        per_branch = {addr: tuple(sorted(set(t)))
-                      for addr, t in per_branch_targets.items()}
 
     # Leaders: entry, branch targets, instructions after control transfers.
     leaders = {program.entry_address, program.base_address}
@@ -248,9 +226,6 @@ def build_cfg(program: Program,
         if instr.is_branch or instr.op is Opcode.HALT:
             leaders.add(instr.address + INSTR_BYTES)
     leaders.update(targets)
-    if per_branch is not None:
-        for branch_targets in per_branch.values():
-            leaders.update(branch_targets)
 
     blocks: List[BasicBlock] = []
     block_of_addr: Dict[int, int] = {}
@@ -267,8 +242,7 @@ def build_cfg(program: Program,
             block_of_addr[instr.address] = block.index
 
     for block in blocks:
-        for address, kind in successors(program, block.terminator, targets,
-                                        per_branch):
+        for address, kind in successors(program, block.terminator, targets):
             succ = block_of_addr.get(address)
             if succ is None:
                 continue

@@ -6,22 +6,17 @@ Public surface:
 - :func:`~repro.analysis.modular.callgraph.build_callgraph` /
   :class:`~repro.analysis.modular.callgraph.CallGraph` — function
   partition, call edges, Tarjan SCC condensation;
-- :func:`~repro.analysis.modular.callgraph.resolved_indirect_targets` /
-  :func:`~repro.analysis.modular.callgraph.refine_cfg` — per-branch
-  indirect-edge pruning fed back into the CFG;
 - :func:`~repro.analysis.modular.summaries.modular_analysis` — the taint
   engine behind :func:`repro.analysis.taint.analyze`, returning the full
   run (reuse counts, per-function summaries);
 - :class:`~repro.analysis.modular.incremental.SummaryCache` — the
-  persistent content-keyed memo, plus the digest/dirtying helpers.
+  persistent content-keyed memo.
 """
 
 from repro.analysis.modular.callgraph import (
-    CallGraph, FunctionNode, build_callgraph, entry_addresses,
-    refine_cfg, resolved_indirect_targets)
+    CallGraph, FunctionNode, build_callgraph, entry_addresses)
 from repro.analysis.modular.incremental import (
-    SUMMARY_SCHEMA, RegionFacts, RegionOutputs, SummaryCache,
-    dirty_functions, function_digests)
+    SUMMARY_SCHEMA, RegionFacts, RegionOutputs, SummaryCache)
 from repro.analysis.modular.summaries import (
     FunctionSummary, ModularAnalysis, modular_analysis)
 from repro.analysis.taint import analyze
@@ -31,8 +26,6 @@ analyze_modular = analyze
 
 __all__ = [
     "CallGraph", "FunctionNode", "build_callgraph", "entry_addresses",
-    "refine_cfg", "resolved_indirect_targets",
     "SUMMARY_SCHEMA", "RegionFacts", "RegionOutputs", "SummaryCache",
-    "dirty_functions", "function_digests",
     "FunctionSummary", "ModularAnalysis", "modular_analysis",
 ]

@@ -11,17 +11,11 @@ into one function with multiple entries, the conservative choice that
 keeps the partition a true partition.
 
 Call edges follow the CFG's truth: the ``call`` edge of each ``BL`` plus
-every ``indirect`` edge of ``BR``/``BLR`` (address-taken targets, or the
-per-branch narrowed sets when a refined CFG is supplied).  Recursion —
-direct or mutual — shows up as a non-trivial SCC of this graph;
-:func:`build_callgraph` condenses with Tarjan so summary computation can
-run bottom-up over an acyclic condensation and apply join-widening inside
-each recursive component.
-
-:func:`resolved_indirect_targets` is the precision lever the satellite
-fix threads back into :func:`~repro.analysis.cfg.build_cfg`: per-branch
-target sets recovered from taint-resolved constants, so a two-table
-program no longer cross-links every indirect branch to every table.
+every ``indirect`` edge of ``BR``/``BLR`` (the address-taken targets).
+Recursion — direct or mutual — shows up as a non-trivial SCC of this
+graph; :func:`build_callgraph` condenses with Tarjan so summary
+computation can run bottom-up over an acyclic condensation and apply
+join-widening inside each recursive component.
 """
 
 from __future__ import annotations
@@ -30,10 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.taint import TaintResult
 from repro.isa.instructions import INSTR_BYTES, Opcode
 from repro.isa.program import Program
-from repro.mte.tags import strip_tag
 
 #: Edge kinds that stay inside one function.
 INTRA_KINDS = frozenset({"fall", "taken"})
@@ -97,38 +89,6 @@ class CallGraph:
             if node.name == name:
                 return node
         raise KeyError(name)
-
-    def reverse_edges(self) -> Dict[int, Tuple[int, ...]]:
-        """Callee entry -> sorted caller entries (the dirtying relation)."""
-        reverse: Dict[int, set] = {entry: set() for entry in self.functions}
-        for caller, callees in self.edges.items():
-            for callee in callees:
-                reverse[callee].add(caller)
-        return {entry: tuple(sorted(callers))
-                for entry, callers in reverse.items()}
-
-    def transitive_callers(self, entries: Iterable[int]) -> FrozenSet[int]:
-        """``entries`` plus every function that can reach one of them."""
-        reverse = self.reverse_edges()
-        seen = set(entry for entry in entries if entry in self.functions)
-        work = list(seen)
-        while work:
-            entry = work.pop()
-            for caller in reverse.get(entry, ()):
-                if caller not in seen:
-                    seen.add(caller)
-                    work.append(caller)
-        return frozenset(seen)
-
-    def recursive_components(self) -> Tuple[Tuple[int, ...], ...]:
-        """SCCs that contain a cycle (size > 1, or a self-calling entry)."""
-        out = []
-        for component in self.sccs:
-            if len(component) > 1:
-                out.append(component)
-            elif component[0] in self.edges.get(component[0], ()):
-                out.append(component)
-        return tuple(out)
 
     def scc_sizes(self) -> Tuple[int, ...]:
         return tuple(len(component) for component in self.sccs)
@@ -313,43 +273,3 @@ def build_callgraph(program: Program, cfg: Optional[CFG] = None) -> CallGraph:
                      edges=sorted_edges,
                      sccs=tuple(tuple(c) for c in components),
                      component_of=component_of)
-
-
-def resolved_indirect_targets(taint: TaintResult) -> Dict[int, Tuple[int, ...]]:
-    """Per-indirect-branch target sets from taint-resolved constants.
-
-    A ``BR``/``BLR`` whose target register resolved to a bounded constant
-    set maps to the MTE-key-stripped members that land on an instruction.
-    Branches whose constant set widened (or never resolved) are absent —
-    callers fall back to the global address-taken over-approximation.
-    """
-    program = taint.program
-    out: Dict[int, Tuple[int, ...]] = {}
-    for address, fact in taint.branches.items():
-        target = fact.target
-        if target is None or target.consts is None:
-            continue
-        stripped = sorted({strip_tag(value) for value in target.consts})
-        candidates = tuple(t for t in stripped
-                           if program.fetch(t) is not None)
-        if candidates:
-            out[address] = candidates
-    return out
-
-
-def refine_cfg(program: Program,
-               taint: Optional[TaintResult] = None,
-               secret_ranges: Tuple[Tuple[int, int], ...] = ()) -> CFG:
-    """A CFG whose indirect edges are pruned per-branch by the taint facts.
-
-    Runs the (over-approximate) default analysis first when no ``taint``
-    result is supplied, then rebuilds with the per-branch target sets —
-    the two-table fix: each ``BR`` links only to the table its register
-    actually loads from.
-    """
-    from repro.analysis.taint import analyze
-    program.link()
-    if taint is None:
-        taint = analyze(program, secret_ranges)
-    return build_cfg(program,
-                     per_branch_targets=resolved_indirect_targets(taint))

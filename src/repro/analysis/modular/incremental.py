@@ -1,4 +1,4 @@
-"""Summary persistence: content-keyed cache, digests, and dirtying.
+"""Summary persistence: content-keyed cache and digests.
 
 The taint engine (:mod:`repro.analysis.modular.summaries`), given a
 :class:`SummaryCache`, memoizes one :class:`RegionOutputs` record per
@@ -30,11 +30,6 @@ corruption-tolerant loads (torn lines, bad checksums and foreign schemas
 are skipped and counted, never fatal).  Since every key hashes the
 environment fingerprint, :meth:`SummaryCache.for_program` keeps one file
 per environment, so a run loads and rewrites only records it can hit.
-
-:func:`function_digests` / :func:`dirty_functions` expose the
-reverse-call-graph dirtying relation by *name*: editing one function
-dirties it plus its transitive callers, and everything else re-lints from
-cache.
 """
 
 from __future__ import annotations
@@ -43,12 +38,11 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple)
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple)
 
 from repro.analysis.cfg import CFG
 from repro.analysis.taint import (
     BranchFact, LoadFact, State, StoreFact, Value)
-from repro.analysis.modular.callgraph import CallGraph
 from repro.isa.program import Program
 from repro.store import canonical, load_records, write_records
 
@@ -260,34 +254,6 @@ def region_key(content: str, edges: str, env: str,
     """The full cache key for one (region × interface inputs) record."""
     return _sha(canonical([SUMMARY_SCHEMA, content, edges, env,
                            sorted(stale), seeds]))
-
-
-# -- function-level digests: the dirtying relation ----------------------------
-
-
-def function_digests(callgraph: CallGraph) -> Dict[str, str]:
-    """Function name -> content digest (the incremental baseline record)."""
-    return {node.name: region_content_digest(callgraph.cfg, node.blocks)
-            for node in callgraph.functions.values()}
-
-
-def dirty_functions(callgraph: CallGraph,
-                    baseline: Mapping[str, str]) -> FrozenSet[str]:
-    """Functions needing re-analysis after an edit, per the reverse graph.
-
-    A function is dirty when its content digest changed (or it is new),
-    or when it can reach a dirty function — callers absorb callee
-    summaries, so dirtiness propagates along *reverse* call edges from
-    each changed callee to its transitive callers.
-    """
-    current = function_digests(callgraph)
-    changed = [name for name, digest in current.items()
-               if baseline.get(name) != digest]
-    by_name = {node.name: entry
-               for entry, node in callgraph.functions.items()}
-    entries = callgraph.transitive_callers(
-        by_name[name] for name in changed)
-    return frozenset(callgraph.functions[entry].name for entry in entries)
 
 
 # -- the persistent cache -----------------------------------------------------

@@ -24,14 +24,15 @@ Drives a sweep's cells through isolated worker subprocesses with:
   workers, writes ``report.json`` with an ``"interrupted"`` status, and
   leaves the run directory resumable (``--resume`` finishes it).
 
-Each worker is a fork of the scheduler itself, which only schedules and
-never runs a cell, and the run loop sleeps on the workers' exit
-sentinels and a wakeup pipe (signals and :meth:`CampaignScheduler.interrupt`
-write to it) until a worker exits or the next liveness check, retry or
-metrics dump falls due.  The process-launch / liveness /
-exit-classification primitives live in :mod:`repro.campaign.pool`, shared
-with the :mod:`repro.service` worker supervisor — "campaign" and "service
-queue" are one pool abstraction.
+Each worker is a fork of the scheduler itself that calls
+:func:`repro.campaign.worker.measure_cell` on its cell; the scheduler
+only schedules and never runs a cell, and the run loop sleeps on the
+workers' exit sentinels and a wakeup pipe (signals and
+:meth:`CampaignScheduler.interrupt` write to it) until a worker exits or
+the next liveness check, retry or metrics dump falls due.  The
+process-launch / liveness / exit-classification primitives live in
+:mod:`repro.campaign.pool`, shared with the :mod:`repro.service` worker
+supervisor — "campaign" and "service queue" are one pool abstraction.
 """
 
 from __future__ import annotations
@@ -40,17 +41,18 @@ import json
 import os
 import random
 import signal
-import sys
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.campaign import pool
 from repro.campaign.cells import (CampaignConfig, CellSpec, rows_from_records)
+from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import WorkerExit, WorkerProcess
 from repro.campaign.store import ResultStore
+from repro.campaign.worker import measure_cell
 from repro.config import DefenseKind
 from repro.store import Reject, atomic_write
 from repro.telemetry.obs import FlightRecorder, SpanRecorder, new_trace_id
@@ -189,20 +191,22 @@ class CampaignOutcome:
 class CampaignScheduler:
     """Runs one campaign's cells to completion (or explicit failure).
 
-    ``worker_argv`` overrides how a worker process is launched — the test
-    hook for simulating hung or crashing workers without patching the real
-    simulator.
+    ``work`` replaces :func:`~repro.campaign.worker.measure_cell` as the
+    function each forked attempt calls on its ``(cell, reseed,
+    warm_dir)`` job — the test hook for simulating hung or crashing
+    workers without patching the real simulator.  The scheduler forks
+    itself, so any callable (a closure too) will do.
     """
 
     def __init__(self, config: CampaignConfig, run_dir: str, *,
                  progress: Optional[Callable[[str], None]] = None,
-                 worker_argv: Optional[Callable[..., List[str]]] = None,
+                 work: Optional[Callable[[Any, Heartbeat], dict]] = None,
                  metrics_interval_s: float = 5.0):
         self.config = config
         self.run_dir = run_dir
         self.store = ResultStore(run_dir)
         self.progress = progress or (lambda message: None)
-        self.worker_argv = worker_argv
+        self.work = work or measure_cell
         self.metrics_interval_s = metrics_interval_s
         self._interrupted = False
         # The run loop's wakeup pipe: signals (through the wakeup fd) and
@@ -248,22 +252,14 @@ class CampaignScheduler:
         safe = cell.cell_id.replace(":", "_").replace("+", "") \
             .replace("/", "-")
         stem = os.path.join(self.store.work_dir, f"{safe}.a{attempt}")
-        return {"spec": stem + ".cell.json", "out": stem + ".out.json",
-                "heartbeat": stem + ".hb", "log": stem + ".log"}
+        return {"out": stem + ".out.json", "heartbeat": stem + ".hb",
+                "log": stem + ".log"}
 
-    def _default_argv(self, cell: CellSpec, paths: dict, attempt: int,
-                      reseed: int) -> List[str]:
-        argv = [sys.executable, "-m", "repro.campaign.worker",
-                "--spec", paths["spec"], "--out", paths["out"],
-                "--heartbeat", paths["heartbeat"],
-                "--attempt", str(attempt), "--reseed", str(reseed),
-                "--heartbeat-cycles", str(self.config.heartbeat_cycles)]
-        if self.config.share_warm:
-            argv += ["--warm-dir", self.store.work_dir]
-        trace = self._traces.get(cell.cell_id, "")
-        if trace:
-            argv += ["--trace-id", trace]
-        return argv
+    def _job(self, state: _PendingCell) -> tuple:
+        """The ``(cell, reseed, warm_dir)`` job of the cell's next
+        attempt; an empty ``warm_dir`` disables warm sharing."""
+        warm_dir = self.store.work_dir if self.config.share_warm else ""
+        return state.cell, state.reseed, warm_dir
 
     def _trace_of(self, cell: CellSpec) -> str:
         """The cell's trace ID — minted once, stable across retries."""
@@ -274,18 +270,16 @@ class CampaignScheduler:
         reseed = state.reseed  # bumped per *typed* failure, not per attempt
         trace = self._trace_of(cell)
         paths = self._paths(cell, attempt)
-        with open(paths["spec"], "w", encoding="utf-8") as handle:
-            json.dump(cell.to_dict(), handle)
         for stale in ("out", "heartbeat"):
             try:
                 os.unlink(paths[stale])
             except OSError:
                 pass
-        argv_factory = self.worker_argv or self._default_argv
-        argv = argv_factory(cell, paths, attempt, reseed)
-        worker = pool.fork(argv, out_path=paths["out"],
+        worker = pool.fork(self.work, self._job(state),
+                           out_path=paths["out"],
                            heartbeat_path=paths["heartbeat"],
                            log_path=paths["log"],
+                           heartbeat_interval=self.config.heartbeat_cycles,
                            timeout_s=cell.timeout_s,
                            stall_timeout_s=self.config.stall_timeout_s)
         self._m_launched.inc()
@@ -305,7 +299,7 @@ class CampaignScheduler:
             "cell_id": worker.cell.cell_id,
             "status": "ok",
             "attempt": worker.state.attempts,
-            "reseed": outcome.get("reseed", worker.state.reseed),
+            "reseed": worker.state.reseed,
             "trace": trace,
             "cell": worker.cell.to_dict(),
             "row": outcome["row"],

@@ -5,7 +5,7 @@ Layout of one run directory::
     run-dir/
       manifest.json     # config hash, seed, schema version, cell ids
       results.jsonl     # append-only records, one JSON object per line
-      work/             # per-attempt scratch: cell specs, outputs, heartbeats
+      work/             # per-attempt scratch: outcomes, heartbeats, logs
       report.json       # structured failure report (written at campaign end)
 
 Durability is :mod:`repro.store`'s protocol (DESIGN.md § "Durable

@@ -1,32 +1,25 @@
 """Campaign worker: runs exactly one cell, in its own process.
 
-The scheduler runs ``python -m repro.campaign.worker --spec … --out …
---heartbeat …`` in a fork of itself (:func:`repro.campaign.pool.fork`) so
-that a crash, OOM kill, or runaway loop takes down *one cell's attempt*,
-never the campaign.  The contract with the scheduler:
-
-- heartbeat file updated from inside the simulation loop (simulated-cycle
-  progress, see :mod:`repro.campaign.heartbeat`);
-- outcome written to ``--out`` atomically, then exit code 0 (measured ok),
-  ``3`` (typed :class:`~repro.errors.ReproError` — retryable), or ``1``
-  (unexpected exception — a harness bug, not retried silently).
+The scheduler forks itself per cell attempt (:func:`repro.campaign.pool.fork`)
+and the fork calls :func:`measure_cell`, so that a crash, OOM kill, or
+runaway loop takes down *one cell's attempt*, never the campaign.  The
+cell pulses its heartbeat from inside the simulation loop
+(simulated-cycle progress, see :mod:`repro.campaign.heartbeat`); the pool
+writes the outcome file from what :func:`measure_cell` returns or raises
+(a :class:`~repro.errors.ReproError` is a typed, retryable failure).
 
 :func:`run_cell` is the process-agnostic core, also used in-process by
-tests.
+tests and by the figure renderers.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
-import json
 import os
-import sys
 import time
-import traceback
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.campaign.cells import CellSpec, system_config
 from repro.campaign.heartbeat import Heartbeat
@@ -37,13 +30,9 @@ from repro.checkpoint import (CheckpointStats, config_fingerprint,
                               write_checkpoint)
 from repro.config import DefenseKind
 from repro.errors import CheckpointError, ReproError
-from repro.store import atomic_write
 from repro.system import build_system
 from repro.workloads import build_parsec, SPEC_BY_NAME
 from repro.workloads.generator import generate
-
-#: Worker exit code for a typed, retryable simulation failure.
-EXIT_TYPED_FAILURE = 3
 
 
 @dataclass
@@ -278,56 +267,12 @@ def run_cell(cell: CellSpec, reseed: int = 0,
     return _run_simulation_cell(cell, reseed, heartbeat, plan, phases)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.campaign.worker",
-        description="Run one campaign cell (scheduler-internal).")
-    parser.add_argument("--spec", required=True,
-                        help="path to the CellSpec JSON")
-    parser.add_argument("--out", required=True,
-                        help="where to write the outcome JSON (atomic)")
-    parser.add_argument("--heartbeat", required=True,
-                        help="heartbeat file pulsed from the run loop")
-    parser.add_argument("--attempt", type=int, default=0)
-    parser.add_argument("--reseed", type=int, default=0)
-    parser.add_argument("--heartbeat-cycles", type=int, default=2000)
-    parser.add_argument("--warm-dir", default="",
-                        help="shared warm-checkpoint directory "
-                             "(empty disables warm sharing)")
-    parser.add_argument("--trace-id", default="",
-                        help="campaign-minted trace ID echoed in the "
-                             "outcome (cell-scoped span correlation)")
-    args = parser.parse_args(argv)
-
-    with open(args.spec, encoding="utf-8") as handle:
-        cell = CellSpec.from_dict(json.load(handle))
-    heartbeat = Heartbeat(args.heartbeat, interval=args.heartbeat_cycles)
-    heartbeat.beat(0)  # prove liveness before the (long) first interval
-    plan = CheckpointPlan(warm_dir=args.warm_dir)
-
-    base = {"cell_id": cell.cell_id, "attempt": args.attempt,
-            "reseed": args.reseed}
-    if args.trace_id:
-        base["trace"] = args.trace_id
+def measure_cell(job: Tuple[CellSpec, int, str],
+                 heartbeat: Heartbeat) -> dict:
+    """The scheduler's work function: ``job`` is ``(cell, reseed,
+    warm_dir)``; returns the row and, beside it, the phase timings."""
+    cell, reseed, warm_dir = job
     timings: dict = {}
-    try:
-        row = run_cell(cell, reseed=args.reseed, heartbeat=heartbeat,
-                       checkpointing=plan, timings=timings)
-    except ReproError as exc:
-        atomic_write(args.out, json.dumps({
-            **base, "status": "failed",
-            "error_type": type(exc).__name__, "error": str(exc)}))
-        return EXIT_TYPED_FAILURE
-    except Exception as exc:  # harness bug: report, don't mask as retryable
-        atomic_write(args.out, json.dumps({
-            **base, "status": "crashed",
-            "error_type": type(exc).__name__, "error": str(exc),
-            "traceback": traceback.format_exc()}))
-        return 1
-    atomic_write(args.out, json.dumps(
-        {**base, "status": "ok", "row": row, "timings": timings}))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    row = run_cell(cell, reseed, heartbeat,
+                   CheckpointPlan(warm_dir=warm_dir), timings)
+    return {"row": row, "timings": timings}

@@ -101,7 +101,7 @@ def smoke() -> int:
         manager = CheckpointManager(os.path.join(tmp, "smoke.ckpt"))
 
         # Run to the pause point, checkpoint, then drop the system on the
-        # floor — the kill-mid-cell equivalent.
+        # floor, as if its process had died there.
         victim = _fresh_system()
         core = victim.prepare(program)
         core.run(until_cycle=300)

@@ -16,9 +16,6 @@
   caught as a minimized regression and survive replay.
 - ``python -m repro.fuzz --selftest`` — the CI gate: the same drill at
   a smaller budget.
-- ``python -m repro.fuzz --worker CONFIG.json`` — internal campaign
-  shard entry (heartbeats + atomic outcome; see
-  :mod:`repro.fuzz.campaign`).
 
 Exit codes: 0 clean, 1 findings/drill failure, 2 usage or harness error.
 """
@@ -197,20 +194,6 @@ def _smoke(budget: int, drill_budget: int) -> int:
     return 1 if failures else 0
 
 
-def _worker(config_path: str, out_dir: str) -> int:
-    try:
-        with open(config_path, encoding="utf-8") as handle:
-            config = FuzzConfig.from_dict(json.load(handle))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
-        print(f"worker: unreadable config {config_path}: {err}",
-              file=sys.stderr)
-        return 2
-    return campaign_mod.run_worker(
-        out_dir, config,
-        heartbeat_path=os.path.join(out_dir, "heartbeat"),
-        outcome_path=os.path.join(out_dir, "outcome.json"))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
@@ -232,8 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                            f"{SMOKE_BUDGET})")
     mode.add_argument("--selftest", action="store_true",
                       help="CI gate: the smoke drill at a reduced budget")
-    mode.add_argument("--worker", metavar="CONFIG",
-                      help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=lambda v: int(v, 0),
                         default=SMOKE_SEED, help="root seed (default "
                         f"{SMOKE_SEED:#x})")
@@ -261,11 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.worker:
-            if not args.out:
-                print("error: --worker requires --out DIR", file=sys.stderr)
-                return 2
-            return _worker(args.worker, args.out)
         if args.smoke:
             return _smoke(args.budget if args.budget != SMOKE_BUDGET
                           else SMOKE_BUDGET, DRILL_BUDGET)

@@ -1,17 +1,18 @@
 """Scale-out: a pool of fuzzing shards under the shared worker machinery.
 
-A fuzz campaign splits one budget across N worker processes, each a
-``python -m repro.fuzz --worker`` invocation (forked from the campaign
-process, which only schedules) running an independent,
-*deterministically derived* slice: shard *i* fuzzes under
+A fuzz campaign splits one budget across N worker processes, each a fork
+of the campaign process (which only schedules) that calls
+:func:`run_shard` on an independent, *deterministically derived* slice:
+shard *i* fuzzes under
 ``derive_seed(root_seed, "fuzz", "shard", i)``, so the campaign's total
 behavior is a pure function of the root seed and the shard count —
 workers share nothing at runtime and their results merge exactly.
 
 Supervision reuses :mod:`repro.campaign.pool` wholesale: forked launch,
 heartbeat files pulsed from inside the executor loop, wall/stall liveness
-reaping, sleeping on the shards' exit sentinels, atomic outcome JSON, and
-the ``ok | failed | crashed`` exit contract.
+reaping, sleeping on the shards' exit sentinels, and the pool's atomic
+outcome JSON with its ``ok | failed | crashed`` exit contract.  The
+shard's config is recorded in its run directory's manifest.
 A reaped or crashed shard is retried once under the *same* seed (its
 work is deterministic, so a flaky-environment retry cannot change the
 result it was going to produce); a shard that fails twice is recorded
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import fork, sleep_until_exit, WorkerProcess
@@ -74,22 +74,16 @@ class ShardOutcome:
 # -- worker side --------------------------------------------------------------
 
 
-def run_worker(out_dir: str, config: FuzzConfig,
-               heartbeat_path: str, outcome_path: str) -> int:
-    """The ``--worker`` entry: one shard, heartbeats, atomic outcome."""
-    heartbeat = Heartbeat(heartbeat_path, interval=1)
-    try:
-        executor = FuzzExecutor(config, StatsRegistry())
-        result = executor.run(on_step=heartbeat.beat)
-        corpus.save_run(out_dir, result)
-        outcome = {"status": "ok", "executed": result.executed,
-                   "frontier": result.coverage.frontier,
-                   "disagreements": len(result.disagreements)}
-    except Exception as err:  # the outcome file is the error channel
-        outcome = {"status": "crashed", "error": str(err),
-                   "error_type": type(err).__name__}
-    atomic_write(outcome_path, json.dumps(outcome, sort_keys=True) + "\n")
-    return 0 if outcome["status"] == "ok" else 1
+def run_shard(job: Tuple[str, FuzzConfig], heartbeat: Heartbeat) -> dict:
+    """The campaign's work function: ``job`` is ``(out_dir, shard
+    config)``; fuzzes the shard into ``out_dir``, beating every step."""
+    out_dir, config = job
+    result = FuzzExecutor(config, StatsRegistry()).run(
+        on_step=heartbeat.beat)
+    corpus.save_run(out_dir, result)
+    return {"executed": result.executed,
+            "frontier": result.coverage.frontier,
+            "disagreements": len(result.disagreements)}
 
 
 # -- scheduler side -----------------------------------------------------------
@@ -99,12 +93,7 @@ def _launch_shard(root: str, config: FuzzConfig, shards: int,
                   index: int) -> WorkerProcess:
     directory = shard_dir(root, index)
     os.makedirs(directory, exist_ok=True)
-    cfg = shard_config(config, shards, index)
-    cfg_path = os.path.join(directory, "config.json")
-    atomic_write(cfg_path, json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
-    argv = [sys.executable, "-m", "repro.fuzz", "--worker", cfg_path,
-            "--out", directory]
-    return fork(argv,
+    return fork(run_shard, (directory, shard_config(config, shards, index)),
                 out_path=os.path.join(directory, "outcome.json"),
                 heartbeat_path=os.path.join(directory, "heartbeat"),
                 log_path=os.path.join(directory, "worker.log"),

@@ -39,8 +39,9 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, List, Optional, Tuple
 
+from repro.campaign.heartbeat import Heartbeat
 from repro.errors import ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker, Quarantine
@@ -130,7 +131,7 @@ class SpecLintService:
 
     def __init__(self, config: ServiceConfig, *,
                  stats: Optional[ServiceStats] = None,
-                 worker_argv: Optional[Callable[..., List[str]]] = None):
+                 work: Optional[Callable[[Any, Heartbeat], dict]] = None):
         self.config = config
         self.stats = stats if stats is not None else ServiceStats()
         os.makedirs(config.state_dir, exist_ok=True)
@@ -155,7 +156,7 @@ class SpecLintService:
             stats=self.stats, quarantine=self.quarantine,
             max_restarts=config.max_restarts,
             stall_timeout_s=config.stall_timeout_s,
-            allow_chaos=config.allow_chaos, worker_argv=worker_argv,
+            allow_chaos=config.allow_chaos, work=work,
             flight=self.flight, template=self.template)
         self.static_pool = WorkerPool(
             "static", work_dir, size=config.static_workers,

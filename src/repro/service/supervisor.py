@@ -7,8 +7,10 @@ loop:
 - **forked launch** — every attempt is a fresh ``fork()`` of one
   :class:`Template` process that imported the worker's modules once, so a
   job pays for a fork, not for an interpreter start and its imports; the
-  supervisor sleeps on the worker's exit sentinel, waking when it exits or
-  when a liveness check falls due;
+  fork calls the pool's work function (:func:`lint_job`) on the job, and
+  the supervisor
+  sleeps on the worker's exit sentinel, waking when it exits or when a
+  liveness check falls due;
 - **bounded concurrency** — at most ``size`` worker processes per pool;
 - **deadlines** — each job runs under the request's remaining budget as
   its wall limit; overruns are reaped and surface as typed ``deadline``
@@ -31,33 +33,37 @@ The pool is job-per-process: each attempt runs in its own fork of the
 template, whose memory is a copy of the template's post-import image and
 never of an earlier job's.  So "restart" means relaunching the job in a
 fresh fork — there is no long-lived worker state to resurrect, which is
-exactly what makes the restarts safe.
+exactly what makes the restarts safe.  An attempt's files in the work
+directory go once its exit is classified; a failed attempt keeps its log
+as evidence, also past a service restart.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import itertools
-import json
 import os
-import sys
 import time
-from typing import Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.campaign import pool
+from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.pool import WorkerExit, WorkerProcess
 from repro.errors import ServiceError
 from repro.service.breaker import CircuitBreaker, Quarantine
-from repro.store import atomic_write
 from repro.telemetry.obs import FlightRecorder
 from repro.telemetry.service import ServiceStats
 
 #: Worker-exit kinds that count as deaths (environmental, retryable).
 DEATH_KINDS = frozenset({"crashed", "killed", pool.STALLED})
 
-#: What the template imports once: the worker, and what ``run_job``
-#: imports lazily.
-TEMPLATE_PRELOAD = ("repro.service.worker", "repro.analysis.modular",
+#: What the template imports once: the pools' work function (this module,
+#: which imports the fork's entry point in ``repro.campaign.pool``), the
+#: worker, and what ``run_job`` imports lazily.
+TEMPLATE_PRELOAD = ("repro.service.supervisor", "repro.service.worker",
+                    "repro.analysis.modular",
                     "repro.analysis.options", "repro.analysis.witness",
                     "repro.attacks.common", "repro.system")
 
@@ -65,13 +71,16 @@ TEMPLATE_PRELOAD = ("repro.service.worker", "repro.analysis.modular",
 _CHECK_SLACK_S = 0.001
 
 
-def default_worker_argv(paths: dict, allow_chaos: bool) -> List[str]:
-    argv = [sys.executable, "-m", "repro.service.worker",
-            "--spec", paths["spec"], "--out", paths["out"],
-            "--heartbeat", paths["heartbeat"]]
-    if allow_chaos:
-        argv.append("--allow-chaos")
-    return argv
+def lint_job(job: dict, heartbeat: Heartbeat,
+             allow_chaos: bool = False) -> dict:
+    """The pools' default work function: the job's row.
+
+    The worker is imported here, in the fork, where the template has it
+    preloaded: the service process, which only supervises, never imports
+    the analyzer and the simulator.
+    """
+    from repro.service.worker import run_job
+    return {"row": run_job(job, heartbeat, allow_chaos)}
 
 
 class Template:
@@ -117,7 +126,12 @@ async def _sleep_until_exit(worker: WorkerProcess, timeout: float) -> None:
 
 
 class WorkerPool:
-    """One supervised pool (the service runs two: static and dynamic)."""
+    """One supervised pool (the service runs two: static and dynamic).
+
+    ``work`` is what each forked attempt calls on the job (default:
+    :func:`lint_job`, with chaos modes as ``allow_chaos`` says).  The template unpickles it, so it must be a
+    module-level function or a ``functools.partial`` of one.
+    """
 
     def __init__(self, name: str, work_dir: str, *, size: int = 2,
                  stats: Optional[ServiceStats] = None,
@@ -125,7 +139,7 @@ class WorkerPool:
                  quarantine: Optional[Quarantine] = None,
                  max_restarts: int = 1, backoff_base_s: float = 0.05,
                  stall_timeout_s: float = 20.0, allow_chaos: bool = False,
-                 worker_argv: Optional[Callable[..., List[str]]] = None,
+                 work: Optional[Callable[[Any, Heartbeat], dict]] = None,
                  flight: Optional[FlightRecorder] = None,
                  template: Optional[Template] = None):
         self.name = name
@@ -137,10 +151,14 @@ class WorkerPool:
         self.max_restarts = max_restarts
         self.backoff_base_s = backoff_base_s
         self.stall_timeout_s = stall_timeout_s
-        self.allow_chaos = allow_chaos
-        self.worker_argv = worker_argv or default_worker_argv
+        self.work = work or functools.partial(lint_job,
+                                              allow_chaos=allow_chaos)
         self.template = template if template is not None else Template()
         self._slots = asyncio.Semaphore(size)
+        # Attempt n writes <pool>.<token>.j<n>.*: a token of its own keeps
+        # a restarted service from reusing, and so deleting, the names of
+        # an earlier process's failed-attempt logs.
+        self._stem = os.path.join(work_dir, f"{name}.{os.urandom(4).hex()}")
         self._seq = itertools.count()
         self.size = size
         #: Live WorkerProcess handles, for drain-time reaping.
@@ -239,23 +257,17 @@ class WorkerPool:
 
     async def _run_once(self, job: dict, budget_s: float) -> WorkerExit:
         """One worker attempt under ``budget_s``; reaps on cancellation."""
-        stem = os.path.join(self.work_dir,
-                            f"{self.name}.j{next(self._seq)}")
-        paths = {"spec": stem + ".job.json", "out": stem + ".out.json",
-                 "heartbeat": stem + ".hb", "log": stem + ".log"}
-        atomic_write(paths["spec"], json.dumps(job))
-        for stale in ("out", "heartbeat"):
-            try:
-                os.unlink(paths[stale])
-            except OSError:
-                pass
+        stem = f"{self._stem}.j{next(self._seq)}"
+        paths = {"out": stem + ".out.json", "heartbeat": stem + ".hb",
+                 "log": stem + ".log"}
         worker = pool.fork(
-            self.worker_argv(paths, self.allow_chaos),
-            out_path=paths["out"], heartbeat_path=paths["heartbeat"],
-            log_path=paths["log"], timeout_s=budget_s,
+            self.work, job, out_path=paths["out"],
+            heartbeat_path=paths["heartbeat"], log_path=paths["log"],
+            timeout_s=budget_s,
             stall_timeout_s=min(self.stall_timeout_s, budget_s),
             template=True)
         self._active.add(worker)
+        exit: Optional[WorkerExit] = None
         try:
             while True:
                 exit = worker.exit()
@@ -282,6 +294,14 @@ class WorkerPool:
             raise
         finally:
             self._active.discard(worker)
+            # The attempt is over (exited, reaped or cancelled): its
+            # files go, except a failed attempt's log, kept as evidence.
+            done = ("out", "heartbeat", "log") \
+                if exit is not None and exit.kind == "ok" \
+                else ("out", "heartbeat")
+            for name in done:
+                with contextlib.suppress(OSError):
+                    os.unlink(paths[name])
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,44 +1,36 @@
 """Service worker: runs exactly one lint job, in its own process.
 
-The supervisor launches ``python -m repro.service.worker --spec … --out …
---heartbeat …`` so a poison program — one that crashes, wedges, or OOMs
+The supervisor forks a template per job attempt
+(:func:`repro.campaign.pool.fork`) and the fork calls the pool's work
+function, :func:`repro.service.supervisor.lint_job`, which runs
+:func:`run_job`, so a poison program — one that crashes, wedges, or OOMs
 the analyzer or simulator — takes down *one request's attempt*, never the
-service.  The contract is the campaign worker's, byte for byte:
-
-- heartbeat pulsed at every job stage (and from inside the simulation
-  loop during dynamic confirmation, via the ``core.heartbeat`` hook);
-- outcome written to ``--out`` atomically, then exit 0 (ok),
-  :data:`~repro.campaign.pool.EXIT_TYPED_FAILURE` (typed
-  :class:`~repro.errors.ReproError` — e.g. the submitted program does not
-  assemble), or 1 (unexpected exception).
+service.  The heartbeat is pulsed at every job stage (and from inside the
+simulation loop during dynamic confirmation, via the ``core.heartbeat``
+hook); the pool writes the outcome file from what the work function
+returns or raises (a :class:`~repro.errors.ReproError`, e.g. a submitted
+program that does not assemble, is a typed failure).
 
 :func:`run_job` is the process-agnostic core, also used in-process by
-tests.  Chaos modes (``die`` / ``hang``) are honoured only when the
-supervisor passes ``--allow-chaos`` — the fault-injection lever of the CI
-smoke drill, dead code in production.
+tests.  Chaos modes (``die`` / ``hang``) are honoured only when the pool
+allows them (``ServiceConfig.allow_chaos``) — the fault-injection lever of
+the CI smoke drill, dead code in production.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import signal
-import sys
 import time
-import traceback
-from typing import List, Optional
+from typing import Optional
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.gadgets import find_gadgets, leaks_under
 from repro.analysis.modular import SummaryCache, modular_analysis
 from repro.analysis.options import AnalysisOptions
 from repro.campaign.heartbeat import Heartbeat
-from repro.campaign.pool import EXIT_TYPED_FAILURE
 from repro.config import CORTEX_A76, DefenseKind
-from repro.errors import ReproError
 from repro.isa.assembler import assemble
-from repro.store import atomic_write
 
 
 def _chaos(mode: str) -> None:
@@ -184,46 +176,3 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
         row["trace"] = job["trace"]
     beat(3)
     return row
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.worker",
-        description="Run one spec-lint service job (supervisor-internal).")
-    parser.add_argument("--spec", required=True,
-                        help="path to the job JSON")
-    parser.add_argument("--out", required=True,
-                        help="where to write the outcome JSON (atomic)")
-    parser.add_argument("--heartbeat", required=True,
-                        help="heartbeat file pulsed at each job stage")
-    parser.add_argument("--heartbeat-cycles", type=int, default=2000)
-    parser.add_argument("--allow-chaos", action="store_true",
-                        help="honour chaos modes in the job spec "
-                             "(smoke-drill fault injection)")
-    args = parser.parse_args(argv)
-
-    with open(args.spec, encoding="utf-8") as handle:
-        job = json.load(handle)
-    heartbeat = Heartbeat(args.heartbeat, interval=args.heartbeat_cycles)
-    heartbeat.beat(0)   # prove liveness before any (possibly slow) stage
-
-    try:
-        row = run_job(job, heartbeat=heartbeat,
-                      allow_chaos=args.allow_chaos)
-    except ReproError as exc:
-        atomic_write(args.out, json.dumps({
-            "status": "failed",
-            "error_type": type(exc).__name__, "error": str(exc)}))
-        return EXIT_TYPED_FAILURE
-    except Exception as exc:   # worker bug: report, don't mask as typed
-        atomic_write(args.out, json.dumps({
-            "status": "crashed",
-            "error_type": type(exc).__name__, "error": str(exc),
-            "traceback": traceback.format_exc()}))
-        return 1
-    atomic_write(args.out, json.dumps({"status": "ok", "row": row}))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,24 +42,6 @@ def test_every_bl_has_a_call_edge():
     two = program.address_of("two")
     assert set(cg.edges[main.entry]) == {one, two}
     assert set(cg.edges[two]) == {one}
-    # The reverse graph mirrors it exactly.
-    reverse = cg.reverse_edges()
-    assert main.entry in reverse[one] and two in reverse[one]
-
-
-def test_transitive_callers_walks_up_the_reverse_graph():
-    program, cg = _graph("""
-        BL mid
-        HALT
-    mid:
-        BL leaf
-        RET
-    leaf:
-        RET
-    """)
-    leaf = program.address_of("leaf")
-    callers = cg.transitive_callers([leaf])
-    assert callers == {leaf, program.address_of("mid"), program.entry_address}
 
 
 def test_mutual_recursion_is_one_scc():
@@ -76,8 +58,6 @@ def test_mutual_recursion_is_one_scc():
     f = program.address_of("f")
     g = program.address_of("g")
     assert cg.component_of[f] == cg.component_of[g]
-    recursive = cg.recursive_components()
-    assert any(set(c) == {f, g} for c in recursive)
     # main sits in its own trivial component.
     assert cg.component_of[program.entry_address] != cg.component_of[f]
 

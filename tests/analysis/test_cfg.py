@@ -158,7 +158,7 @@ def test_empty_program_rejected():
 
 
 # ----------------------------------------------------------------------
-# per-branch indirect-edge pruning (refined CFGs)
+# indirect edges: the address-taken over-approximation
 # ----------------------------------------------------------------------
 
 TWO_TABLES = """
@@ -177,7 +177,7 @@ fn_b:
 
 
 def test_unrefined_two_table_branches_cross_link():
-    # Baseline over-approximation: both BRs reach both tables' targets.
+    # The over-approximation: both BRs reach both tables' targets.
     program = assemble(TWO_TABLES)
     cfg = build_cfg(program)
     fn_a = cfg.block_of_addr[program.address_of("fn_a")]
@@ -186,43 +186,6 @@ def test_unrefined_two_table_branches_cross_link():
         succs = cfg.block_at(br_addr).successors
         assert (fn_a, "indirect") in succs
         assert (fn_b, "indirect") in succs
-
-
-def test_refined_two_table_branches_do_not_cross_link():
-    from repro.analysis.modular import refine_cfg
-
-    program = assemble(TWO_TABLES)
-    cfg = refine_cfg(program)
-    fn_a = cfg.block_of_addr[program.address_of("fn_a")]
-    fn_b = cfg.block_of_addr[program.address_of("fn_b")]
-    first = cfg.block_at(0x1008).successors
-    second = cfg.block_at(0x1014).successors
-    assert (fn_a, "indirect") in first
-    assert (fn_b, "indirect") not in first
-    assert (fn_b, "indirect") in second
-    assert (fn_a, "indirect") not in second
-
-
-def test_unresolvable_branch_falls_back_to_over_approximation():
-    from repro.analysis.modular import refine_cfg
-
-    # X9 is never defined: its constant set is unbounded, so the refined
-    # CFG must keep the full address-taken set for this branch.
-    program = assemble("""
-        .data fns 0x4000 words 0x1008 0x100c
-        BR X9
-        HALT
-    fn_a:
-        HALT
-    fn_b:
-        HALT
-    """)
-    cfg = refine_cfg(program)
-    succs = cfg.block_at(0x1000).successors
-    fn_a = cfg.block_of_addr[program.address_of("fn_a")]
-    fn_b = cfg.block_of_addr[program.address_of("fn_b")]
-    assert (fn_a, "indirect") in succs
-    assert (fn_b, "indirect") in succs
 
 
 # -- address_taken against a per-word reference scan -------------------------

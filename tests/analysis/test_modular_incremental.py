@@ -1,4 +1,4 @@
-"""Incremental re-linting: cache durability, dirtying, one-function edits."""
+"""Incremental re-linting: cache durability, one-function edits."""
 
 import json
 import os
@@ -8,9 +8,6 @@ from repro.analysis.gadgets import find_gadgets
 from repro.analysis.modular import (
     SUMMARY_SCHEMA,
     SummaryCache,
-    build_callgraph,
-    dirty_functions,
-    function_digests,
     modular_analysis,
 )
 from repro.analysis.modular import incremental
@@ -184,32 +181,6 @@ def test_overlapping_runs_of_one_environment_keep_both_records(tmp_path):
     first.flush()
     second.flush()      # must keep the records ``first`` just wrote
     assert len(SummaryCache(first.path)) == len(union)
-
-
-# ----------------------------------------------------------------------
-# digests + reverse-call-graph dirtying
-# ----------------------------------------------------------------------
-
-def test_unchanged_program_has_no_dirty_functions():
-    program, _ = bench_program()
-    baseline = function_digests(build_callgraph(program))
-    assert dirty_functions(build_callgraph(program), baseline) == frozenset()
-
-
-def test_one_function_edit_dirties_it_and_its_callers():
-    program, _ = bench_program()
-    baseline = function_digests(build_callgraph(program))
-    edited, _ = bench_program(edits={3: 7})
-    dirty = dirty_functions(build_callgraph(edited), baseline)
-    assert dirty == {"fn3", "main"}
-
-
-def test_new_function_name_counts_as_dirty():
-    program, _ = bench_program(functions=4)
-    baseline = function_digests(build_callgraph(program))
-    bigger, _ = bench_program(functions=5)
-    dirty = dirty_functions(build_callgraph(bigger), baseline)
-    assert "fn4" in dirty
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.campaign import CampaignConfig, CellSpec, run_cell
-from repro.campaign.scheduler import CampaignScheduler
+from repro.campaign.scheduler import CampaignScheduler, _PendingCell
 from repro.campaign.worker import CheckpointPlan
 from repro.checkpoint import corrupt
 
@@ -111,22 +111,20 @@ class TestWarmSharing:
 
 
 class TestSchedulerThreading:
-    def test_argv_carries_checkpoint_flags(self, tmp_path):
+    def test_job_carries_the_warm_dir(self, tmp_path):
         config = CampaignConfig(figure="figure9",
                                 benchmarks=("505.mcf_r",))
         scheduler = CampaignScheduler(config, str(tmp_path / "run"))
         cell = config.build_cells()[0]
-        argv = scheduler._default_argv(
-            cell, scheduler._paths(cell, attempt=1), attempt=1, reseed=0)
-        assert argv[argv.index("--warm-dir") + 1] == scheduler.store.work_dir
+        job = scheduler._job(_PendingCell(cell, attempts=1))
+        assert job == (cell, 0, scheduler.store.work_dir)
 
-    def test_checkpointing_disabled_drops_the_flags(self, tmp_path):
+    def test_checkpointing_disabled_drops_the_warm_dir(self, tmp_path):
         config = CampaignConfig(figure="figure9",
                                 benchmarks=("505.mcf_r",), share_warm=False)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"))
         cell = config.build_cells()[0]
-        argv = scheduler._default_argv(cell, scheduler._paths(cell, 0), 0, 0)
-        assert "--warm-dir" not in argv
+        assert scheduler._job(_PendingCell(cell)) == (cell, 0, "")
 
 
 class TestCampaignDegradationReport:

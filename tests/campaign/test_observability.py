@@ -8,10 +8,10 @@ from repro.campaign import CampaignScheduler, ResultStore
 from repro.campaign.cells import CellSpec
 from repro.campaign.scheduler import (FLIGHT_DUMP, METRICS_JSON,
                                       METRICS_PROM, SPANS_LOG)
-from repro.campaign.worker import main as worker_main
 from repro.telemetry.obs import is_trace_id, load_spans, span_forest
 
 from tests.campaign.test_scheduler import quick_config
+from tests.campaign.test_worker import fork_cell
 
 
 class TestSchedulerObservability:
@@ -71,22 +71,18 @@ class TestSchedulerObservability:
 
 
 class TestWorkerTraceEcho:
-    def test_trace_id_flag_rides_the_outcome_envelope(self, tmp_path):
+    """The cell's trace stays with the scheduler, which records it with
+    the row; the forked cell's envelope carries the row and, beside it,
+    the phase timings the scheduler turns into spans."""
+
+    def test_timings_ride_the_envelope_not_the_row(self, tmp_path):
         cell = CellSpec(kind="spec", benchmark="505.mcf_r",
                         defense="specasan", target_instructions=300,
                         warm_runs=0)
-        spec_path = str(tmp_path / "cell.json")
-        out_path = str(tmp_path / "outcome.json")
-        with open(spec_path, "w", encoding="utf-8") as handle:
-            json.dump(cell.to_dict(), handle)
-        code = worker_main([
-            "--spec", spec_path, "--out", out_path,
-            "--heartbeat", str(tmp_path / "hb"),
-            "--trace-id", "abcd1234abcd1234"])
-        assert code == 0
-        outcome = json.loads(open(out_path, encoding="utf-8").read())
-        assert outcome["status"] == "ok"
-        assert outcome["trace"] == "abcd1234abcd1234"
+        _, exit = fork_cell(tmp_path, cell)
+        outcome = exit.outcome
+        assert exit.kind == "ok" and set(outcome) == {"status", "row",
+                                                      "timings"}
         # Wall-clock phase timings ride the envelope, never the row.
         assert outcome["timings"]["run_ms"] > 0.0
         assert "timings" not in outcome["row"]
@@ -96,14 +92,7 @@ class TestWorkerTraceEcho:
         cell = CellSpec(kind="repair", benchmark="pht/same-key",
                         defense="specasan", target_instructions=0,
                         warm_runs=0)
-        spec_path = str(tmp_path / "cell.json")
-        out_path = str(tmp_path / "outcome.json")
-        with open(spec_path, "w", encoding="utf-8") as handle:
-            json.dump(cell.to_dict(), handle)
-        code = worker_main([
-            "--spec", spec_path, "--out", out_path,
-            "--heartbeat", str(tmp_path / "hb")])
-        assert code == 0
-        outcome = json.loads(open(out_path, encoding="utf-8").read())
-        assert "trace" not in outcome
-        assert outcome["timings"]["synthesize_ms"] >= 0.0
+        _, exit = fork_cell(tmp_path, cell)
+        assert exit.kind == "ok"
+        assert "trace" not in exit.outcome
+        assert exit.outcome["timings"]["synthesize_ms"] >= 0.0

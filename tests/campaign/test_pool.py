@@ -16,6 +16,8 @@ from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.cells import CampaignConfig
 from repro.service.supervisor import TEMPLATE_PRELOAD
 
+from tests.campaign import forked_jobs
+
 
 class TestClassifyExit:
     def test_ok(self):
@@ -54,11 +56,10 @@ class TestWorkerProcess:
 
     launcher = staticmethod(pool.fork)
 
-    def _spawn(self, tmp_path, code, **kwargs):
+    def _spawn(self, tmp_path, work, job=None, **kwargs):
         paths = {name: str(tmp_path / name)
                  for name in ("out", "hb", "log")}
-        worker = self.launcher([sys.executable, "-c", code],
-                               out_path=paths["out"],
+        worker = self.launcher(work, job, out_path=paths["out"],
                                heartbeat_path=paths["hb"],
                                log_path=paths["log"], **kwargs)
         return worker, paths
@@ -68,19 +69,28 @@ class TestWorkerProcess:
         return worker.exit()
 
     def test_successful_worker_round_trip(self, tmp_path):
-        out = str(tmp_path / "out")
-        code = (f"import json; json.dump({{'status': 'ok', 'row': {{}}}}, "
-                f"open({out!r}, 'w'))")
-        worker, _ = self._spawn(tmp_path, code)
+        worker, _ = self._spawn(tmp_path, forked_jobs.give_back,
+                                {"row": {"cycles": 7}, "timings": {}})
         deadline = time.monotonic() + 10
         exit = None
         while exit is None and time.monotonic() < deadline:
             exit = worker.exit()
             time.sleep(0.01)
         assert exit is not None and exit.kind == "ok"
+        assert exit.outcome == {"status": "ok", "row": {"cycles": 7},
+                                "timings": {}}
+
+    def test_repro_error_is_typed_and_exits_3(self, tmp_path):
+        worker, paths = self._spawn(tmp_path, forked_jobs.fail_typed,
+                                    "ran past 50 cycles")
+        exit = self._finish(worker)
+        assert worker.proc.returncode == pool.EXIT_TYPED_FAILURE
+        assert exit.kind == "typed" and exit.error_type == "SimulationError"
+        assert "50 cycles" in exit.error
+        assert pool.read_outcome(paths["out"])["status"] == "failed"
 
     def test_wall_timeout_and_reap(self, tmp_path):
-        worker, _ = self._spawn(tmp_path, "import time; time.sleep(600)",
+        worker, _ = self._spawn(tmp_path, forked_jobs.sleep, 600,
                                 timeout_s=0.05)
         time.sleep(0.1)
         failure = worker.liveness_failure()
@@ -89,7 +99,7 @@ class TestWorkerProcess:
         assert worker.proc.poll() is not None
 
     def test_stalled_without_heartbeat(self, tmp_path):
-        worker, _ = self._spawn(tmp_path, "import time; time.sleep(600)",
+        worker, _ = self._spawn(tmp_path, forked_jobs.sleep, 600,
                                 stall_timeout_s=0.05)
         time.sleep(0.1)
         failure = worker.liveness_failure()
@@ -97,7 +107,7 @@ class TestWorkerProcess:
         worker.reap()
 
     def test_fresh_heartbeat_keeps_worker_alive(self, tmp_path):
-        worker, paths = self._spawn(tmp_path, "import time; time.sleep(600)",
+        worker, paths = self._spawn(tmp_path, forked_jobs.sleep, 600,
                                     stall_timeout_s=0.5)
         with open(paths["hb"], "w") as handle:
             json.dump({"cycle": 1}, handle)
@@ -105,59 +115,35 @@ class TestWorkerProcess:
         worker.reap()
 
     def test_log_captured(self, tmp_path):
-        worker, paths = self._spawn(tmp_path, "print('hello from worker')")
+        worker, paths = self._spawn(tmp_path, forked_jobs.say,
+                                    "hello from worker")
         worker.proc.wait(timeout=10)
         assert "hello from worker" in pool.log_tail(paths["log"])
 
     def test_system_exit_code_is_crashed(self, tmp_path):
-        worker, _ = self._spawn(tmp_path, "raise SystemExit(70)")
+        worker, paths = self._spawn(tmp_path, forked_jobs.exit_with, 70)
         exit = self._finish(worker)
         assert exit.kind == "crashed" and "exit code 70" in exit.error
+        assert not os.path.exists(paths["out"])
 
     def test_sigkill_is_killed(self, tmp_path):
-        worker, _ = self._spawn(tmp_path, "import time; time.sleep(600)")
+        worker, _ = self._spawn(tmp_path, forked_jobs.sleep, 600)
         os.kill(worker.pid, signal.SIGKILL)
         exit = self._finish(worker)
         assert exit.kind == "killed" and "signal 9" in exit.error
 
     def test_traceback_lands_in_the_log(self, tmp_path):
-        worker, paths = self._spawn(
-            tmp_path, "def explode():\n    raise KeyError('boom')\n"
-                      "explode()")
+        worker, paths = self._spawn(tmp_path, forked_jobs.explode, "boom")
         exit = self._finish(worker)
-        assert exit.kind == "crashed" and "exit code 1" in exit.error
+        assert worker.proc.returncode == 1
+        assert exit.kind == "crashed" and exit.error_type == "KeyError"
+        assert "Traceback" in exit.outcome["traceback"]
         log = pool.log_tail(paths["log"], limit=4000)
         assert "Traceback" in log and "explode" in log \
             and "KeyError: 'boom'" in log
 
-    def _run_module(self, tmp_path, *argv):
-        paths = {name: str(tmp_path / name) for name in ("out", "hb", "log")}
-        worker = self.launcher([sys.executable, "-m", *argv],
-                               out_path=paths["out"],
-                               heartbeat_path=paths["hb"],
-                               log_path=paths["log"])
-        return worker.proc.wait(timeout=30), pool.log_tail(paths["log"],
-                                                           limit=4000)
-
-    def test_module_runs_its_main_once(self, tmp_path):
-        # The fork imported the module already: -m calls its main and
-        # exits with main's code, instead of running the module a second
-        # time as __main__ (runpy's "found in sys.modules" warning, which
-        # reaches the log from a template fork; a fork of this test
-        # process keeps pytest's warning capture).
-        code, log = self._run_module(tmp_path, "repro.campaign.worker",
-                                     "--help")
-        assert code == 0 and "usage: python -m repro.campaign.worker" in log
-        assert "found in sys.modules" not in log
-        code, log = self._run_module(tmp_path, "repro.campaign.worker")
-        assert code == 2 and "required" in log
-
-    def test_package_module_runs_its_dunder_main(self, tmp_path):
-        code, log = self._run_module(tmp_path, "repro.fuzz", "--help")
-        assert code == 0 and "usage: python -m repro.fuzz" in log
-
     def test_sleep_until_exit_wakes_on_exit(self, tmp_path):
-        worker, _ = self._spawn(tmp_path, "import time; time.sleep(0.2)")
+        worker, _ = self._spawn(tmp_path, forked_jobs.exit_with, 0)
         started = time.monotonic()
         pool.sleep_until_exit([worker], 30.0)
         assert time.monotonic() - started < 10
@@ -166,7 +152,7 @@ class TestWorkerProcess:
         assert "exit code 0" in exit.error   # no outcome file written
 
     def test_sleep_until_exit_times_out_and_wakes_on_fd(self, tmp_path):
-        worker, _ = self._spawn(tmp_path, "import time; time.sleep(600)")
+        worker, _ = self._spawn(tmp_path, forked_jobs.sleep, 600)
         started = time.monotonic()
         pool.sleep_until_exit([worker], 0.05)
         assert 0.05 <= time.monotonic() - started < 5
@@ -192,44 +178,24 @@ def template():
 class TestForkedWorkerProcess(TestWorkerProcess):
     launcher = staticmethod(functools.partial(pool.fork, template=True))
 
-    def _probe(self, tmp_path, code):
-        """Run ``code`` in a forked job; it dumps its finding as JSON to
-        the path bound to ``found``."""
-        found = str(tmp_path / "found.json")
-        worker, paths = self._spawn(tmp_path, f"found = {found!r}\n" + code)
-        assert worker.proc.wait(timeout=10) == 0, \
-            pool.log_tail(paths["log"])
-        with open(found, encoding="utf-8") as handle:
-            return json.load(handle)
+    def _probe(self, tmp_path, work, job=None):
+        """Run ``work`` in a forked job; returns its ok outcome."""
+        worker, paths = self._spawn(tmp_path, work, job)
+        exit = self._finish(worker)
+        assert exit.kind == "ok", pool.log_tail(paths["log"])
+        return exit.outcome
 
     def test_preload_is_in_the_fork(self, tmp_path):
-        # Checked before the job imports anything itself.
-        loaded = self._probe(tmp_path, (
-            "import sys\n"
-            "loaded = {m: m in sys.modules for m in "
-            "('repro.analysis.taint', 'repro.system')}\n"
-            "import json\n"
-            "json.dump(loaded, open(found, 'w'))"))
-        assert loaded == {"repro.analysis.taint": True,
-                          "repro.system": True}
+        # forked_jobs imports no repro module itself.
+        outcome = self._probe(tmp_path, forked_jobs.loaded,
+                              ("repro.analysis.taint", "repro.system"))
+        assert outcome["loaded"] == {"repro.analysis.taint": True,
+                                     "repro.system": True}
 
     def test_each_job_gets_a_fresh_image(self, tmp_path):
-        marked = self._probe(tmp_path, (
-            "import json, repro\n"
-            "repro.left_by_an_earlier_job = True\n"
-            "json.dump(True, open(found, 'w'))"))
-        seen = self._probe(tmp_path, (
-            "import json, repro\n"
-            "json.dump(hasattr(repro, 'left_by_an_earlier_job'), "
-            "open(found, 'w'))"))
-        assert marked is True and seen is False
-
-    def test_argv_must_be_module_or_code(self, tmp_path):
-        with pytest.raises(ValueError):
-            pool.fork([sys.executable, "script.py"],
-                      out_path=str(tmp_path / "out"),
-                      heartbeat_path=str(tmp_path / "hb"),
-                      log_path=str(tmp_path / "log"), template=True)
+        first = self._probe(tmp_path, forked_jobs.mark_image)
+        second = self._probe(tmp_path, forked_jobs.mark_image)
+        assert first["seen"] is False and second["seen"] is False
 
 
 class TestSelfFork:
@@ -242,11 +208,10 @@ class TestSelfFork:
         scheduler = CampaignScheduler(CampaignConfig(),
                                       str(tmp_path / "run"))
         with scheduler._signal_scope():
-            worker = pool.fork(
-                [sys.executable, "-c", "import time; time.sleep(600)"],
-                out_path=str(tmp_path / "out"),
-                heartbeat_path=str(tmp_path / "hb"),
-                log_path=str(tmp_path / "log"))
+            worker = pool.fork(forked_jobs.sleep, 600,
+                               out_path=str(tmp_path / "out"),
+                               heartbeat_path=str(tmp_path / "hb"),
+                               log_path=str(tmp_path / "log"))
             started = time.monotonic()
             worker.reap()
         scheduler.spans.close()

@@ -1,21 +1,19 @@
 """Scheduler: isolation, retry/backoff, stragglers, resume, degradation.
 
 The tests that need *real* workers use a 300-instruction single-benchmark
-figure-9 sweep (4 cells, ~1s each); failure-path tests swap the worker argv
-for stubs so nothing real has to hang or crash slowly.
+figure-9 sweep (4 cells, ~1s each); failure-path tests swap the work
+function for stubs so nothing real has to hang or crash slowly.
 """
 
-import glob
 import json
 import os
 import shutil
-import subprocess
-import sys
+import time
 
 import pytest
 
 from repro.campaign import (CampaignConfig, CampaignScheduler, ResultStore)
-from repro.campaign import pool
+from repro.campaign.worker import measure_cell
 from repro.errors import ManifestMismatch
 from repro.eval.experiments import MISSING_CELL
 
@@ -30,9 +28,9 @@ def quick_config(**overrides):
     return CampaignConfig(**params)
 
 
-def sleeper_argv(cell, paths, attempt, reseed):
-    """A worker that never heartbeats and never finishes."""
-    return [sys.executable, "-c", "import time; time.sleep(600)"]
+def sleeper(job, heartbeat):
+    """A worker that never beats again and never finishes."""
+    time.sleep(600)
 
 
 class TestEndToEnd:
@@ -101,31 +99,12 @@ class TestEndToEnd:
             CampaignScheduler(changed, run_dir).run(resume=True)
 
 
-def test_attempt_logs_show_one_module_run(tmp_path):
-    # Through the CLI, so the attempts print their warnings as a user's
-    # would (a fork of this test process inherits its warning capture).
-    # Each cell is a fork that imported repro.campaign.worker already; it
-    # must call the worker's main, not run the module again as __main__.
-    run_dir = str(tmp_path / "run")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.campaign", "--figure", "9",
-         "--benchmarks", "505.mcf_r", "--target-instructions", "300",
-         "--warm-runs", "0", "--run-dir", run_dir],
-        env=pool.worker_env(), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    logs = glob.glob(os.path.join(run_dir, "work", "*.log"))
-    assert len(logs) == 4
-    for path in logs:
-        with open(path, encoding="utf-8") as handle:
-            assert "found in sys.modules" not in handle.read(), path
-
-
 class TestStragglerRecovery:
     def test_hung_workers_are_reaped_retried_then_marked_missing(
             self, tmp_path):
         config = quick_config(max_retries=1, stall_timeout_s=0.3)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv)
+                                      work=sleeper)
         outcome = scheduler.run()
         assert not outcome.ok
         assert len(outcome.failed) == 4
@@ -144,7 +123,7 @@ class TestStragglerRecovery:
         config = quick_config(benchmarks=("505.mcf_r",), max_retries=0,
                               timeout_s=0.3, stall_timeout_s=60.0)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv)
+                                      work=sleeper)
         outcome = scheduler.run()
         assert not outcome.ok
         kinds = {f.kind for failures in outcome.failed.values()
@@ -157,28 +136,25 @@ class TestRetryRecovery:
         # Attempt 0 of every cell dies instantly with no outcome file (the
         # shape of an OOM kill); attempt 1 runs the real worker.  The
         # campaign must converge with full results.
-        launches = []
+        def flaky(job, heartbeat):
+            # The attempt number is in the name of its heartbeat file.
+            if heartbeat.path.endswith(".a0.hb"):
+                raise SystemExit(9)
+            return measure_cell(job, heartbeat)
 
-        def flaky_argv(cell, paths, attempt, reseed):
-            launches.append((cell.cell_id, attempt, reseed))
-            if attempt == 0:
-                return [sys.executable, "-c", "import sys; sys.exit(9)"]
-            return scheduler._default_argv(cell, paths, attempt, reseed)
-
-        config = quick_config(max_retries=1)
-        scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=flaky_argv)
+        run_dir = str(tmp_path / "run")
+        scheduler = CampaignScheduler(quick_config(max_retries=1), run_dir,
+                                      work=flaky)
         outcome = scheduler.run()
         assert outcome.ok
         assert len(outcome.completed) == 4
-        # Every cell was launched twice.  An environmental death keeps the
-        # reseed (so the dead attempt's mid-cell checkpoints stay
-        # restorable); only typed simulation failures perturb the seed.
-        by_cell = {}
-        for cell_id, attempt, reseed in launches:
-            by_cell.setdefault(cell_id, []).append((attempt, reseed))
-        assert all(attempts == [(0, 0), (1, 0)]
-                   for attempts in by_cell.values())
+        # Every cell succeeded on its second attempt.  An environmental
+        # death keeps the reseed (so the retry measures the row an
+        # uninterrupted attempt would have); only typed simulation
+        # failures perturb the seed.
+        records, _ = ResultStore(run_dir).load()
+        assert len(records) == 4
+        assert all(r["attempt"] == 1 and r["reseed"] == 0 for r in records)
 
 
 class TestGracefulInterrupt:
@@ -189,7 +165,7 @@ class TestGracefulInterrupt:
         config = quick_config()
         run_dir = str(tmp_path / "run")
         scheduler = CampaignScheduler(config, run_dir,
-                                      worker_argv=sleeper_argv)
+                                      work=sleeper)
         timer = threading.Timer(
             0.4, lambda: signal.raise_signal(signal.SIGTERM))
         timer.start()
@@ -217,7 +193,7 @@ class TestGracefulInterrupt:
 
         config = quick_config(stall_timeout_s=60.0)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv)
+                                      work=sleeper)
         raised = []
 
         def terminate():
@@ -237,7 +213,7 @@ class TestGracefulInterrupt:
         # The same path is reachable programmatically (non-main threads,
         # embedding services): interrupt() before run() returns instantly.
         scheduler = CampaignScheduler(quick_config(), str(tmp_path / "run"),
-                                      worker_argv=sleeper_argv)
+                                      work=sleeper)
         scheduler.interrupt()
         outcome = scheduler.run()
         assert outcome.interrupted and outcome.completed == {}
@@ -249,7 +225,7 @@ class TestGracefulInterrupt:
         config = quick_config()
         run_dir = str(tmp_path / "run")
         interrupted = CampaignScheduler(config, run_dir,
-                                        worker_argv=sleeper_argv)
+                                        work=sleeper)
         timer = threading.Timer(
             0.3, lambda: signal.raise_signal(signal.SIGTERM))
         timer.start()

@@ -1,12 +1,13 @@
-"""Worker semantics, in-process: measurement, heartbeats, typed failures."""
+"""Worker semantics, in-process (measurement, heartbeats, typed
+failures) and forked (the outcome the pool writes for a cell)."""
 
 import json
 
 import pytest
 
-from repro.campaign import CellSpec, Heartbeat, run_cell
+from repro.campaign import CellSpec, Heartbeat, pool, run_cell
 from repro.campaign.heartbeat import age_s
-from repro.campaign.worker import main as worker_main
+from repro.campaign.worker import measure_cell
 from repro.errors import ReproError
 
 
@@ -64,26 +65,30 @@ class TestRunCell:
         assert beat["cycle"] > 0
 
 
-class TestWorkerCLI:
-    def _argv(self, tmp_path, cell):
-        spec = tmp_path / "cell.json"
-        spec.write_text(json.dumps(cell.to_dict()))
-        return (["--spec", str(spec), "--out", str(tmp_path / "out.json"),
-                 "--heartbeat", str(tmp_path / "hb")],
-                tmp_path / "out.json")
+def fork_cell(tmp_path, cell, warm_dir=""):
+    """Measure ``cell`` in a fork, as the scheduler does; returns the
+    worker and its classified exit."""
+    worker = pool.fork(measure_cell, (cell, 0, warm_dir),
+                       out_path=str(tmp_path / "out.json"),
+                       heartbeat_path=str(tmp_path / "hb"),
+                       log_path=str(tmp_path / "log"))
+    worker.proc.wait(timeout=120)
+    return worker, worker.exit()
 
+
+class TestWorkerCLI:
     def test_success_writes_ok_outcome(self, tmp_path):
-        argv, out = self._argv(tmp_path, spec_cell())
-        assert worker_main(argv) == 0
-        outcome = json.loads(out.read_text())
-        assert outcome["status"] == "ok"
-        assert outcome["cell_id"] == "spec:505.mcf_r:specasan"
-        assert outcome["row"]["cycles"] > 0
+        worker, exit = fork_cell(tmp_path, spec_cell())
+        assert worker.proc.returncode == 0 and exit.kind == "ok"
+        assert exit.outcome["status"] == "ok"
+        assert exit.outcome["row"] == run_cell(spec_cell())
+        assert age_s(str(tmp_path / "hb")) is not None
 
     def test_typed_failure_is_exit_3_with_error_payload(self, tmp_path):
-        argv, out = self._argv(tmp_path, spec_cell(max_cycles=50))
-        assert worker_main(argv) == 3
-        outcome = json.loads(out.read_text())
+        worker, exit = fork_cell(tmp_path, spec_cell(max_cycles=50))
+        assert worker.proc.returncode == pool.EXIT_TYPED_FAILURE == 3
+        assert exit.kind == "typed"
+        outcome = json.loads((tmp_path / "out.json").read_text())
         assert outcome["status"] == "failed"
         assert outcome["error_type"] == "SimulationError"
         assert "50 cycles" in outcome["error"]

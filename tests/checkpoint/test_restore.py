@@ -157,10 +157,10 @@ class TestSectionLayout:
         assert blob(resumed) == blob(reference)
 
 
-class TestGenerations:
+class TestOneFile:
     """A restore that cannot use the file fails typed."""
 
-    def test_no_generations_is_kind_missing(self, tmp_path):
+    def test_no_file_is_kind_missing(self, tmp_path):
         manager = CheckpointManager(str(tmp_path / "void.ckpt"))
         config = CORTEX_A76.with_defense(DefenseKind.SPECASAN)
         with pytest.raises(CheckpointError) as err:

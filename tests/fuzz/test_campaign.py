@@ -1,8 +1,10 @@
-"""Campaign sharding: deterministic shard configs, the worker entry."""
+"""Campaign sharding: deterministic shard configs, the shard's work
+function."""
 
-import json
 import os
 
+from repro.campaign import pool
+from repro.campaign.heartbeat import Heartbeat
 from repro.fuzz import campaign, corpus
 from repro.fuzz.executor import FuzzConfig
 from repro.rng import derive_seed
@@ -29,16 +31,16 @@ def test_run_worker_writes_outcome_and_a_loadable_run(tmp_path):
     os.makedirs(out_dir)
     config = FuzzConfig(seed=0x77, budget=3, sim_every=3, warmup=1,
                         repair_budget=0)
-    code = campaign.run_worker(
-        out_dir, config,
-        heartbeat_path=os.path.join(out_dir, "heartbeat"),
-        outcome_path=os.path.join(out_dir, "outcome.json"))
-    assert code == 0
-    outcome = json.load(open(os.path.join(out_dir, "outcome.json"),
-                             encoding="utf-8"))
-    assert outcome["status"] == "ok"
+    worker = pool.fork(campaign.run_shard, (out_dir, config),
+                       out_path=os.path.join(out_dir, "outcome.json"),
+                       heartbeat_path=os.path.join(out_dir, "heartbeat"),
+                       log_path=os.path.join(out_dir, "worker.log"))
+    assert worker.proc.wait(timeout=120) == 0
+    outcome = pool.read_outcome(os.path.join(out_dir, "outcome.json"))
+    assert outcome["status"] == "ok" and outcome["executed"] == 3
     run = corpus.load_run(out_dir)
     assert run.manifest["executed"] == 3
+    assert run.manifest["config"] == config.to_dict()
     assert os.path.exists(os.path.join(out_dir, "heartbeat"))
 
 
@@ -58,16 +60,16 @@ def test_run_campaign_forks_shards_and_merges(tmp_path):
     merged = corpus.load_run(os.path.join(root, campaign.MERGED_DIR))
     executed = [_shard_run(root, i).manifest["executed"] for i in range(2)]
     assert merged.manifest["executed"] == sum(executed) == 4
+    assert not any(os.path.exists(os.path.join(
+        campaign.shard_dir(root, i), "config.json")) for i in range(2))
     # Each forked shard wrote exactly what its config writes in-process.
     for index in range(2):
         out_dir = str(tmp_path / f"in-process-{index}")
         os.makedirs(out_dir)
-        assert campaign.run_worker(
-            out_dir, campaign.shard_config(TINY, 2, index),
-            heartbeat_path=os.path.join(out_dir, "heartbeat"),
-            outcome_path=os.path.join(out_dir, "outcome.json")) == 0
-        assert corpus.load_run(out_dir).manifest["executed"] \
-            == executed[index]
+        result = campaign.run_shard(
+            (out_dir, campaign.shard_config(TINY, 2, index)),
+            Heartbeat(os.path.join(out_dir, "heartbeat")))
+        assert result["executed"] == executed[index]
         assert corpus.run_digest(out_dir) == \
             corpus.run_digest(campaign.shard_dir(root, index))
 

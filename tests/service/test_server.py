@@ -1,17 +1,18 @@
 """End-to-end service tests over real TCP and real worker subprocesses."""
 
 import asyncio
-import glob
+import functools
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 
 from repro.campaign import pool
 from repro.service.__main__ import CLEAN_SOURCE, _by_id, _Client
 from repro.service.server import ServiceConfig, SpecLintService
-from repro.service.supervisor import default_worker_argv
+from repro.service.supervisor import lint_job
 
 
 def config_for(tmp_path, **overrides) -> ServiceConfig:
@@ -25,10 +26,17 @@ def config_for(tmp_path, **overrides) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
-#: Worker argv that dies instantly without importing anything heavy —
-#: stands in for a dead/sick pool in the degradation tests.
-def crashing_argv(paths, allow_chaos):
-    return [sys.executable, "-c", "raise SystemExit(70)"]
+# Work functions for the pools' forks, which unpickle them by name.
+
+def crashing_work(job, heartbeat):
+    """Dies at once with no outcome: stands in for a dead/sick pool in
+    the degradation tests."""
+    raise SystemExit(70)
+
+
+def sleeping_work(job, heartbeat):
+    """Outlives any test that does not reap it."""
+    time.sleep(60)
 
 
 async def start_service(config, **kwargs) -> SpecLintService:
@@ -81,25 +89,46 @@ class TestLintEndToEnd:
         assert report["status"] == "drained"
         assert report["stats"]["service"]["cache"]["hits"] >= 1
 
-    def test_worker_log_shows_one_module_run(self, tmp_path):
-        # The template preloads repro.service.worker; the forked job
-        # calls its main rather than running the module again.
+    def test_work_dir_keeps_only_failed_attempt_logs(self, tmp_path):
+        # An ok attempt leaves nothing behind; a crashed one keeps its log
+        # as evidence, and only its log, also past a restart.
+        work_dir = str(tmp_path / "state" / "work")
+
         async def scenario():
-            service = await start_service(config_for(tmp_path))
+            config = config_for(tmp_path)
+            service = await start_service(config)
             client = await _Client.connect(service.port)
-            reply = await client.request(
+            ok = await client.request(
                 {"id": "r1", "op": "lint", "source": CLEAN_SOURCE,
                  "secret_ranges": [[0x4100, 0x4110]]})
+            served = await client.request(
+                {"id": "r2", "op": "lint", "witness": "pht"})
+            after_ok = os.listdir(work_dir)
+            service.static_pool.work = crashing_work
+            service.dynamic_pool.work = crashing_work
+            lost = await client.request(
+                {"id": "r3", "op": "lint", "witness": "stl"}, timeout=60.0)
             client.close()
             await stop_service(service)
-            return reply
+            after_crash = sorted(os.listdir(work_dir))
 
-        assert asyncio.run(scenario())["ok"] is True
-        logs = glob.glob(str(tmp_path / "state" / "work" / "*.log"))
-        assert logs
-        for path in logs:
-            with open(path, encoding="utf-8") as handle:
-                assert "found in sys.modules" not in handle.read(), path
+            service2 = await start_service(config)
+            client2 = await _Client.connect(service2.port)
+            again = await client2.request(
+                {"id": "r4", "op": "lint", "witness": "btb"}, timeout=60.0)
+            client2.close()
+            await stop_service(service2)
+            return ok, served, after_ok, lost, after_crash, again
+
+        ok, served, after_ok, lost, after_crash, again = \
+            asyncio.run(scenario())
+        assert ok["ok"] is True and served["ok"] is True
+        assert after_ok == []
+        assert lost["ok"] is False
+        assert after_crash and all(name.endswith(".log")
+                                   for name in after_crash)
+        assert again["ok"] is True
+        assert sorted(os.listdir(work_dir)) == after_crash
 
     def test_ping_and_stats_are_inline(self, tmp_path):
         async def scenario():
@@ -124,7 +153,7 @@ class TestDegradationLadder:
         still served, at the static tier, with the downgrade recorded."""
         async def scenario():
             service = await start_service(config_for(tmp_path))
-            service.dynamic_pool.worker_argv = crashing_argv
+            service.dynamic_pool.work = crashing_work
             client = await _Client.connect(service.port)
             response = await client.request(
                 {"id": "d1", "op": "lint", "witness": "pht",
@@ -157,8 +186,8 @@ class TestDegradationLadder:
             await stop_service(service)
 
             service2 = await start_service(config)
-            service2.static_pool.worker_argv = crashing_argv
-            service2.dynamic_pool.worker_argv = crashing_argv
+            service2.static_pool.work = crashing_work
+            service2.dynamic_pool.work = crashing_work
             client2 = await _Client.connect(service2.port)
             # The exact key is cached: served before any pool is touched.
             cached = await client2.request(
@@ -236,17 +265,9 @@ class TestTemplateDeath:
         """SIGKILL the fork-server template under a running job: the job
         counts one death and is retried in a fork of a fresh template, its
         orphan is killed, and the next request is served."""
-        attempts = []
-
-        def first_attempt_sleeps(paths, allow_chaos):
-            attempts.append(paths)
-            if len(attempts) == 1:
-                return [sys.executable, "-c", "import time; time.sleep(60)"]
-            return default_worker_argv(paths, allow_chaos)
-
         async def scenario():
             service = await start_service(config_for(tmp_path),
-                                          worker_argv=first_attempt_sleeps)
+                                          work=sleeping_work)
             client = await _Client.connect(service.port)
             await client.send({"id": "t1", "op": "lint", "witness": "pht"})
 
@@ -256,6 +277,9 @@ class TestTemplateDeath:
 
             await asyncio.wait_for(first_attempt_running(), 30.0)
             (orphan,) = service.static_pool._active
+            # The retry, and every later job, runs the real work.
+            service.static_pool.work = functools.partial(lint_job,
+                                                         allow_chaos=False)
             killed = pool.template_pid()
             os.kill(killed, signal.SIGKILL)
             retried = await client.recv(timeout=60.0)

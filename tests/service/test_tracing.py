@@ -15,7 +15,7 @@ from repro.telemetry.obs import (SPAN_CACHE_LOOKUP, SPAN_POOL_DISPATCH,
                                  is_trace_id, load_spans, render_span_tree,
                                  span_forest)
 
-from tests.service.test_server import (config_for, crashing_argv,
+from tests.service.test_server import (config_for, crashing_work,
                                        start_service, stop_service)
 
 
@@ -41,8 +41,8 @@ class TestTracingEndToEnd:
             # Induced failure: both pools die for never-seen content, so
             # the ladder runs dry and the request errors with the flight
             # tail attached server-side.
-            service.static_pool.worker_argv = crashing_argv
-            service.dynamic_pool.worker_argv = crashing_argv
+            service.static_pool.work = crashing_work
+            service.dynamic_pool.work = crashing_work
             failed = await client.request(
                 {"id": "r4", "op": "lint", "witness": "stl",
                  "trace": "deadbeefdeadbeef"}, timeout=60.0)

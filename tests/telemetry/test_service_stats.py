@@ -14,8 +14,8 @@ from repro.service.__main__ import _Client
 from repro.telemetry.service import (ServiceStats, TIER_CACHE, TIER_FULL,
                                      TIER_STATIC)
 
-from tests.service.test_server import (config_for, crashing_argv,
-                                       start_service, stop_service)
+from tests.service.test_server import (config_for, crashing_work,
+                                       start_service)
 
 
 class TestServiceStatsUnit:
@@ -97,7 +97,7 @@ class TestServiceStatsEndToEnd:
                 {"id": "r2", "op": "lint", "witness": "pht"})
             # Kill the dynamic pool: the confirm request costs worker
             # deaths, trips the breaker, and is served degraded.
-            service.dynamic_pool.worker_argv = crashing_argv
+            service.dynamic_pool.work = crashing_work
             degraded = await client.request(
                 {"id": "r3", "op": "lint", "witness": "pht",
                  "confirm": True, "defense": "none"}, timeout=60.0)
