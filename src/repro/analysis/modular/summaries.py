@@ -38,9 +38,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple)
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+    Tuple)
 
 from repro.analysis import hooks
 from repro.analysis.cfg import CFG, BasicBlock, build_cfg
@@ -53,7 +53,7 @@ from repro.analysis.modular.incremental import (
 from repro.analysis.options import AnalysisOptions
 from repro.analysis.taint import (
     State, TaintResult, _Context, _emit_taint_coverage, _join_states,
-    _run_block)
+    _Kernel)
 from repro.isa.instructions import FLAGS_REG, INSTR_BYTES
 from repro.isa.program import Program
 from repro.isa.registers import XZR
@@ -158,6 +158,7 @@ class _Engine:
         self.cache = options.cache
         self.ctx = _Context(program, self.cfg, self.secret_ranges,
                             self.stale_loads)
+        self.kernel = _Kernel(self.ctx)
         self.callgraph = build_callgraph(program, self.cfg)
         self.succs = [_effective_succs(block) for block in self.cfg.blocks]
         self.regions: Dict[int, _Region] = {}
@@ -231,11 +232,6 @@ class _Engine:
 
     # -- interface plumbing ---------------------------------------------------
 
-    def _widened(self, start: int, reg: int) -> None:
-        """Book one constant-set collapse at the block starting at ``start``."""
-        key = (start, reg)
-        self.engine_widenings[key] = self.engine_widenings.get(key, 0) + 1
-
     def _seeds(self, blocks: Iterable[int]) -> Dict[int, State]:
         """Joined interface states per seeded block among ``blocks``; a
         collapse where two contributions meet is booked at that block."""
@@ -245,7 +241,7 @@ class _Engine:
             contributions = self.incoming.get(start)
             if not contributions:
                 continue
-            note = partial(self._widened, start)
+            note = _counter(self.engine_widenings, start)
             folded: Optional[State] = None
             for src in sorted(contributions):
                 folded = _join_states(folded, contributions[src], note)
@@ -269,32 +265,36 @@ class _Engine:
         ``widenings``.
         """
         blocks = self.cfg.blocks
+        run_block = self.kernel.run_block
         in_states: Dict[int, State] = {
             index: _join_states(None, state)
             for index, state in seeds.items()}
         outs: Dict[int, State] = {}
         facts: Dict[int, RegionFacts] = {}
+        # Per visited block: its intra-region successors, each with the
+        # note that books a collapse at that successor's start.
+        edges: Dict[int, List[Tuple[int, Callable[[int], None]]]] = {}
         work = deque(sorted(in_states))
+        queued = set(work)
         while work:
             index = work.popleft()
+            queued.discard(index)
             block_facts = facts.get(index)
             if block_facts is None:
                 block_facts = facts[index] = RegionFacts()
-            out = outs[index] = _run_block(
-                self.ctx, blocks[index], dict(in_states[index]), block_facts)
-            for succ, kind in self.succs[index]:
-                if succ not in block_set or kind not in INTRA_KINDS:
-                    continue
-                start = blocks[succ].start
-
-                def note(reg: int, _start: int = start) -> None:
-                    key = (_start, reg)
-                    widenings[key] = widenings.get(key, 0) + 1
-
-                joined = _join_states(in_states.get(succ), out, note)
-                if succ not in in_states or joined != in_states[succ]:
+                edges[index] = [
+                    (succ, _counter(widenings, blocks[succ].start))
+                    for succ, kind in self.succs[index]
+                    if succ in block_set and kind in INTRA_KINDS]
+            out = outs[index] = run_block(
+                blocks[index], dict(in_states[index]), block_facts)
+            for succ, note in edges[index]:
+                previous = in_states.get(succ)
+                joined = _join_states(previous, out, note)
+                if previous is None or joined != previous:
                     in_states[succ] = joined
-                    if succ not in work:
+                    if succ not in queued:
+                        queued.add(succ)
                         work.append(succ)
         return outs, facts
 
@@ -359,7 +359,7 @@ class _Engine:
         contributions = self.incoming.setdefault(dst_start, {})
         previous = contributions.get(src)
         joined = _join_states(previous, state,
-                              partial(self._widened, dst_start))
+                              _counter(self.engine_widenings, dst_start))
         if previous is not None and joined == previous:
             return False
         contributions[src] = joined
@@ -423,8 +423,9 @@ class _Engine:
         assert folded is not None
         for index in self.ret_targets:
             start = self.cfg.blocks[index].start
+            note = _counter(self.engine_widenings, start)
             for reg in collapsed:
-                self._widened(start, reg)
+                note(reg)
             if self._accumulate(start, RET_SRC, folded):
                 enqueue(self.region_of_block[index])
 
@@ -527,6 +528,16 @@ class _Engine:
             scc_size=len(self.callgraph.sccs[
                 self.callgraph.component_of[node.entry]]),
             widened=widened)
+
+
+def _counter(widenings: Dict[Tuple[int, int], int],
+             start: int) -> Callable[[int], None]:
+    """A note that books one constant-set collapse of ``reg`` at the block
+    starting at ``start`` into ``widenings``."""
+    def note(reg: int) -> None:
+        key = (start, reg)
+        widenings[key] = widenings.get(key, 0) + 1
+    return note
 
 
 def _effective_succs(block: BasicBlock) -> List[Tuple[int, str]]:

@@ -28,17 +28,18 @@ flow into callees through the CFG's call/indirect edges, and every ``RET``
 flows to every return site.  This module holds the value domain, the
 transfer functions and the join; :func:`analyze` runs them to a fixed point
 through the summary engine of :mod:`repro.analysis.modular.summaries`,
-one function region at a time.
+one function region at a time.  The transfer functions compile once per
+block and run, a closure per instruction, on every later visit.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional,
-    Sequence, Set, Tuple)
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+    Optional, Sequence, Set, Tuple)
 
 from repro.analysis import hooks
 from repro.analysis.cfg import CFG, BasicBlock
@@ -46,7 +47,7 @@ from repro.analysis.cfg import CFG, BasicBlock
 from repro.analysis.cfg import build_cfg  # noqa: F401
 from repro.isa.instructions import FLAGS_REG, INSTR_BYTES, Instruction, Opcode
 from repro.isa.program import DataSegment, Program
-from repro.isa.registers import XZR
+from repro.isa.registers import LR, XZR
 from repro.mte.tags import key_of, strip_tag, with_key
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -62,9 +63,12 @@ PAIR_CAP = 256
 SUMMARY_CAP = 64 * 1024
 
 
-@dataclass(frozen=True)
-class Value:
-    """One abstract register value: bounded constants plus taint flags."""
+class Value(NamedTuple):
+    """One abstract register value: bounded constants plus taint flags.
+
+    Tuple-backed, so equality, hashing and field reads run in C (the hash
+    is the field tuple's, as the frozen dataclass it replaced computed).
+    """
 
     consts: Optional[Tuple[int, ...]] = None
     attacker: bool = False
@@ -73,7 +77,7 @@ class Value:
     stale: bool = False
 
     def join(self, other: "Value") -> "Value":
-        """Least upper bound of two values."""
+        """Least upper bound of two values (``self`` itself if unchanged)."""
         if self is other or self == other:
             return self
         consts: Optional[Tuple[int, ...]]
@@ -82,13 +86,13 @@ class Value:
         else:
             merged = set(self.consts) | set(other.consts)
             consts = tuple(sorted(merged)) if len(merged) <= CONST_CAP else None
-        return Value(consts,
-                     self.attacker or other.attacker,
-                     self.secret or other.secret,
-                     self.loaded or other.loaded,
-                     self.stale or other.stale)
+        return _new(Value, (consts,
+                            self.attacker or other.attacker,
+                            self.secret or other.secret,
+                            self.loaded or other.loaded,
+                            self.stale or other.stale))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         flags = "".join(name[0] for name in
                         ("attacker", "secret", "loaded", "stale")
                         if getattr(self, name))
@@ -98,6 +102,10 @@ class Value:
         more = "…" if len(self.consts) > 4 else ""
         return f"Value({{{shown}{more}}}{',' + flags if flags else ''})"
 
+
+#: ``_new(Value, fields)`` builds a value in C, skipping the Python-level
+#: ``Value.__new__`` that keyword defaults need (the transfer's hot path).
+_new = tuple.__new__
 
 #: The no-information value (arbitrary, untainted).
 UNKNOWN = Value()
@@ -112,19 +120,10 @@ def const_value(*values: int) -> Value:
 _ZERO = const_value(0)
 
 
-def _imm_value(instr: Instruction) -> Value:
-    """``const_value(instr.imm or 0)``: the immediate operand."""
-    return Value(((instr.imm or 0) & MASK64,))
-
-
-def _tainted(consts: Optional[Tuple[int, ...]], *sources: Value) -> Value:
-    attacker = secret = loaded = stale = False
-    for source in sources:
-        attacker |= source.attacker
-        secret |= source.secret
-        loaded |= source.loaded
-        stale |= source.stale
-    return Value(consts, attacker, secret, loaded, stale)
+def _taint_of(a: Value, b: Value) -> Value:
+    """No constants, and the taint of both operands."""
+    return _new(Value, (None, a.attacker or b.attacker, a.secret or b.secret,
+                        a.loaded or b.loaded, a.stale or b.stale))
 
 
 def _to_signed(v: int) -> int:
@@ -144,25 +143,30 @@ _EVAL = {
     Opcode.UDIV: lambda a, b: 0 if b == 0 else a // b,  # AArch64: x/0 == 0
 }
 
-_ALU_OPS = frozenset(_EVAL)
+_ADD = _EVAL[Opcode.ADD]
 
 
-def _binop(op: Opcode, a: Value, b: Value) -> Value:
-    """Abstract binary ALU transfer (with absorbing zero for AND/MUL)."""
-    if op in (Opcode.AND, Opcode.MUL) and ((0,) in (a.consts, b.consts)):
+def _binop(fn: Callable[[int, int], int], absorbing: bool,
+           a: Value, b: Value) -> Value:
+    """Abstract binary ALU transfer of the concrete operation ``fn``;
+    ``absorbing`` (AND, MUL) makes an exact zero operand absorb."""
+    ac, bc = a.consts, b.consts
+    if absorbing and (ac == (0,) or bc == (0,)):
         # The result is exactly zero no matter the other operand; the
         # dependency is purely microarchitectural, so taint drops too
         # (needed for the RIDL delay chain's AND-with-XZR collapse).
         return _ZERO
     consts: Optional[Tuple[int, ...]] = None
-    if (a.consts is not None and b.consts is not None
-            and len(a.consts) * len(b.consts) <= PAIR_CAP):
-        fn = _EVAL[op]
-        vals = {fn(x, y) & MASK64 for x in a.consts for y in b.consts}
-        if len(vals) <= CONST_CAP:
-            consts = tuple(sorted(vals))
-    return Value(consts, a.attacker or b.attacker, a.secret or b.secret,
-                 a.loaded or b.loaded, a.stale or b.stale)
+    if ac is not None and bc is not None:
+        if len(ac) == 1 and len(bc) == 1:
+            consts = (fn(ac[0], bc[0]) & MASK64,)
+        elif len(ac) * len(bc) <= PAIR_CAP:
+            vals = {fn(x, y) & MASK64 for x in ac for y in bc}
+            if len(vals) <= CONST_CAP:
+                consts = tuple(sorted(vals))
+    return _new(Value, (consts, a.attacker or b.attacker,
+                        a.secret or b.secret, a.loaded or b.loaded,
+                        a.stale or b.stale))
 
 
 # -- per-instruction facts ----------------------------------------------------
@@ -239,6 +243,12 @@ class TaintResult:
 # -- the analysis -------------------------------------------------------------
 
 
+State = Dict[int, Value]
+#: One compiled instruction: applies its transfer to the state (mutated in
+#: place) and records its facts.
+Step = Callable[[State, "RegionFacts"], None]
+
+
 class _Context:
     """Shared lookups for one analyze() run."""
 
@@ -291,22 +301,6 @@ class _Context:
         return self._summaries[cache_key]
 
 
-State = Dict[int, Value]
-
-
-def _read(state: State, reg: Optional[int]) -> Value:
-    if reg is None:
-        return UNKNOWN
-    if reg == XZR:
-        return _ZERO
-    return state.get(reg, UNKNOWN)
-
-
-def _write(state: State, reg: Optional[int], value: Value) -> None:
-    if reg is not None and reg != XZR:
-        state[reg] = value
-
-
 def _join_states(a: Optional[State], b: State,
                  widened: Optional[Callable[[int], None]] = None) -> State:
     """Pointwise join; ``widened(reg)`` fires on every constant-set collapse
@@ -318,9 +312,9 @@ def _join_states(a: Optional[State], b: State,
         old = out.get(reg)
         if old is None:
             out[reg] = _forget(value)
-        elif old is not value:
-            # ``old.join`` keeps ``old`` itself when nothing changes, so
-            # the caller's state comparison meets the same object.
+        elif old is not value and old != value:
+            # Equal values keep ``old`` itself (no join), so the caller's
+            # state comparison meets the same object.
             joined = old.join(value)
             if (widened is not None and joined.consts is None
                     and value.consts is not None
@@ -337,8 +331,8 @@ def _forget(value: Value) -> Value:
     """``value.join(UNKNOWN)``: the same taint, no constants."""
     if value.consts is None:
         return value
-    return Value(None, value.attacker, value.secret, value.loaded,
-                 value.stale)
+    return _new(Value, (None, value.attacker, value.secret, value.loaded,
+                        value.stale))
 
 
 def _resolve_load(ctx: _Context, instr: Instruction, addr_val: Value,
@@ -395,9 +389,8 @@ def _resolve_load(ctx: _Context, instr: Instruction, addr_val: Value,
             if summarized and len(vals) <= CONST_CAP:
                 consts = tuple(sorted(vals))
 
-    result = Value(consts=consts, attacker=True,
-                   secret=bool(secret_accesses), loaded=True,
-                   stale=instr.address in ctx.stale_loads)
+    result = _new(Value, (consts, True, bool(secret_accesses), True,
+                          instr.address in ctx.stale_loads))
     fact = LoadFact(instr=instr, address=addr_val, result=result, width=width,
                     resolved=resolved,
                     secret_accesses=tuple(secret_accesses),
@@ -405,99 +398,257 @@ def _resolve_load(ctx: _Context, instr: Instruction, addr_val: Value,
     return result, fact
 
 
-def _address_value(state: State, instr: Instruction) -> Tuple[Value, Value, Value]:
-    base = _read(state, instr.rn)
-    if instr.rm is not None:
-        offset = _read(state, instr.rm)
-    else:
-        offset = _imm_value(instr)
-    return _binop(Opcode.ADD, base, offset), base, offset
+# -- the compiled transfer ----------------------------------------------------
+#
+# At a block's first visit in a run, each instruction with a dataflow
+# effect compiles into a closure over what it decodes to: its evaluator,
+# immediate, link constant and register readers.  A reader is a
+# ``state.get(key, default)`` pair.  XZR reads zero because no step ever
+# writes it; an absent register reads UNKNOWN; and an immediate operand
+# reads under the key ``None``, which no state holds.
 
 
-def _step(ctx: _Context, instr: Instruction, state: State,
-          facts: Optional["RegionFacts"]) -> None:
-    """Transfer function for one instruction (mutates ``state``)."""
+def _reader(reg: Optional[int]) -> Tuple[Optional[int], Value]:
+    """The (key, default) that reads register ``reg`` out of a state."""
+    return reg, (_ZERO if reg == XZR else UNKNOWN)
+
+
+def _immediate(instr: Instruction) -> Tuple[None, Value]:
+    """The (key, default) that reads ``instr``'s immediate operand."""
+    return None, Value(((instr.imm or 0) & MASK64,))
+
+
+def _second(instr: Instruction) -> Tuple[Optional[int], Value]:
+    """The second operand's reader: ``rm``, or else the immediate."""
+    return _reader(instr.rm) if instr.rm is not None else _immediate(instr)
+
+
+def _dest(reg: Optional[int]) -> Optional[int]:
+    """The register a result lands in; ``None`` when it is dropped."""
+    return None if reg == XZR else reg
+
+
+def _compile_mov(ctx: _Context, instr: Instruction) -> Optional[Step]:
+    rd = _dest(instr.rd)
+    if rd is None:
+        return None
+    src, dsrc = (_reader(instr.rn) if instr.rn is not None
+                 else _immediate(instr))
+
+    def mov(state: State, facts: "RegionFacts") -> None:
+        state[rd] = state.get(src, dsrc)
+    return mov
+
+
+def _compile_alu(ctx: _Context, instr: Instruction) -> Optional[Step]:
     op = instr.op
+    fn, absorbing = _EVAL[op], op in (Opcode.AND, Opcode.MUL)
+    rn, dn = _reader(instr.rn)
+    rm, dm = _second(instr)
+    rd = _dest(instr.rd)
+    if op in (Opcode.MUL, Opcode.UDIV):
+        addr = instr.address
+
+        def contended(state: State, facts: "RegionFacts") -> None:
+            lhs, rhs = state.get(rn, dn), state.get(rm, dm)
+            if rd is not None:
+                state[rd] = _binop(fn, absorbing, lhs, rhs)
+            facts.contention[addr] = _taint_of(lhs, rhs)
+        return contended
+    if rd is None:
+        return None
+
+    def alu(state: State, facts: "RegionFacts") -> None:
+        state[rd] = _binop(fn, absorbing, state.get(rn, dn), state.get(rm, dm))
+    return alu
+
+
+def _compile_cmp(ctx: _Context, instr: Instruction) -> Step:
+    rn, dn = _reader(instr.rn)
+    rm, dm = _second(instr)
+
+    def cmp(state: State, facts: "RegionFacts") -> None:
+        state[FLAGS_REG] = _taint_of(state.get(rn, dn), state.get(rm, dm))
+    return cmp
+
+
+def _compile_call(ctx: _Context, instr: Instruction) -> Step:
+    link = const_value(instr.address + INSTR_BYTES)
+    if instr.op is Opcode.BL:
+        def bl(state: State, facts: "RegionFacts") -> None:
+            state[LR] = link
+        return bl
     addr = instr.address
-    if op is Opcode.MOV:
-        if instr.rn is None:
-            _write(state, instr.rd, _imm_value(instr))
-        else:
-            _write(state, instr.rd, _read(state, instr.rn))
-    elif op in _ALU_OPS:
-        rhs = (_read(state, instr.rm) if instr.rm is not None
-               else _imm_value(instr))
-        lhs = _read(state, instr.rn)
-        _write(state, instr.rd, _binop(op, lhs, rhs))
-        if facts is not None and op in (Opcode.MUL, Opcode.UDIV):
-            facts.contention[addr] = _tainted(None, lhs, rhs)
-    elif op is Opcode.CMP:
-        rhs = (_read(state, instr.rm) if instr.rm is not None
-               else _imm_value(instr))
-        state[FLAGS_REG] = _tainted(None, _read(state, instr.rn), rhs)
-    elif op in (Opcode.BL, Opcode.BLR):
-        if facts is not None and op is Opcode.BLR:
-            facts.branches[addr] = BranchFact(instr,
-                                              target=_read(state, instr.rn))
-        state[30] = const_value(addr + INSTR_BYTES)
-    elif op is Opcode.BR:
-        if facts is not None:
-            facts.branches[addr] = BranchFact(instr,
-                                              target=_read(state, instr.rn))
-    elif op is Opcode.B_COND:
-        if facts is not None:
-            facts.branches[addr] = BranchFact(
-                instr, condition=state.get(FLAGS_REG, UNKNOWN))
-    elif op in (Opcode.CBZ, Opcode.CBNZ):
-        if facts is not None:
-            facts.branches[addr] = BranchFact(
-                instr, condition=_read(state, instr.rn))
-    elif op is Opcode.RET:
+    rn, dn = _reader(instr.rn)
+
+    def blr(state: State, facts: "RegionFacts") -> None:
+        facts.branches[addr] = BranchFact(instr, target=state.get(rn, dn))
+        state[LR] = link
+    return blr
+
+
+def _compile_branch(ctx: _Context, instr: Instruction) -> Step:
+    addr = instr.address
+    if instr.op is Opcode.RET:
         # No dataflow effect, but the RSB windows key off this fact.
-        if facts is not None:
-            facts.branches[addr] = BranchFact(instr)
-    elif op in (Opcode.LDR, Opcode.LDRB):
-        addr_val, base, offset = _address_value(state, instr)
-        result, fact = _resolve_load(ctx, instr, addr_val, (base, offset),
-                                     instr.memory_bytes)
-        _write(state, instr.rd, result)
-        if facts is not None:
-            facts.loads[addr] = fact
-    elif op is Opcode.LDG:
-        # The loaded allocation tag is data-dependent on memory but never a
-        # pointer/secret; model it as an unknown loaded value.
-        _write(state, instr.rd,
-               replace(_tainted(None, _read(state, instr.rn)), loaded=True))
-    elif op in (Opcode.STR, Opcode.STRB):
-        addr_val, _, _ = _address_value(state, instr)
-        if facts is not None:
-            facts.stores[addr] = StoreFact(
-                instr=instr, address=addr_val,
-                data=_read(state, instr.rd), width=instr.memory_bytes,
-                pointers=addr_val.consts or ())
-    elif op is Opcode.IRG:
-        _write(state, instr.rd, replace(_read(state, instr.rn), consts=None))
-    elif op in (Opcode.ADDG, Opcode.SUBG):
-        src = _read(state, instr.rn)
-        sign = 1 if op is Opcode.ADDG else -1
+        fact = BranchFact(instr)
+
+        def ret(state: State, facts: "RegionFacts") -> None:
+            facts.branches[addr] = fact
+        return ret
+    if instr.op is Opcode.BR:
+        rn, dn = _reader(instr.rn)
+
+        def br(state: State, facts: "RegionFacts") -> None:
+            facts.branches[addr] = BranchFact(instr, target=state.get(rn, dn))
+        return br
+    # B.cond tests the FLAGS value, CBZ/CBNZ the tested register.
+    reg, dreg = ((FLAGS_REG, UNKNOWN) if instr.op is Opcode.B_COND
+                 else _reader(instr.rn))
+
+    def conditional(state: State, facts: "RegionFacts") -> None:
+        facts.branches[addr] = BranchFact(instr,
+                                          condition=state.get(reg, dreg))
+    return conditional
+
+
+def _compile_load(ctx: _Context, instr: Instruction) -> Step:
+    rn, dn = _reader(instr.rn)
+    rm, dm = _second(instr)
+    rd = _dest(instr.rd)
+    addr, width = instr.address, instr.memory_bytes
+    # The base and offset values are all that a load's answer reads that
+    # can change between visits (segments, secret ranges and stale loads
+    # are the run's constants), so one (result, fact) serves each pair.
+    memo: Dict[Tuple[Value, Value], Tuple[Value, LoadFact]] = {}
+
+    def load(state: State, facts: "RegionFacts") -> None:
+        base, offset = state.get(rn, dn), state.get(rm, dm)
+        known = memo.get((base, offset))
+        if known is None:
+            known = memo[base, offset] = _resolve_load(
+                ctx, instr, _binop(_ADD, False, base, offset),
+                (base, offset), width)
+        if rd is not None:
+            state[rd] = known[0]
+        facts.loads[addr] = known[1]
+    return load
+
+
+def _compile_ldg(ctx: _Context, instr: Instruction) -> Optional[Step]:
+    # The loaded allocation tag is data-dependent on memory but never a
+    # pointer/secret; model it as an unknown loaded value.
+    rd = _dest(instr.rd)
+    if rd is None:
+        return None
+    rn, dn = _reader(instr.rn)
+
+    def ldg(state: State, facts: "RegionFacts") -> None:
+        src = state.get(rn, dn)
+        state[rd] = _new(Value, (None, src.attacker, src.secret, True,
+                                 src.stale))
+    return ldg
+
+
+def _compile_store(ctx: _Context, instr: Instruction) -> Step:
+    rn, dn = _reader(instr.rn)
+    rm, dm = _second(instr)
+    rt, dt = _reader(instr.rd)
+    addr, width = instr.address, instr.memory_bytes
+
+    def store(state: State, facts: "RegionFacts") -> None:
+        address = _binop(_ADD, False, state.get(rn, dn), state.get(rm, dm))
+        facts.stores[addr] = StoreFact(
+            instr=instr, address=address, data=state.get(rt, dt),
+            width=width, pointers=address.consts or ())
+    return store
+
+
+def _compile_irg(ctx: _Context, instr: Instruction) -> Optional[Step]:
+    rd = _dest(instr.rd)
+    if rd is None:
+        return None
+    rn, dn = _reader(instr.rn)
+
+    def irg(state: State, facts: "RegionFacts") -> None:
+        state[rd] = _forget(state.get(rn, dn))
+    return irg
+
+
+def _compile_tag_arith(ctx: _Context, instr: Instruction) -> Optional[Step]:
+    rd = _dest(instr.rd)
+    if rd is None:
+        return None
+    rn, dn = _reader(instr.rn)
+    sign = 1 if instr.op is Opcode.ADDG else -1
+    offset, tag_delta = sign * (instr.imm or 0), sign * (instr.tag_imm or 0)
+
+    def tag_arith(state: State, facts: "RegionFacts") -> None:
+        src = state.get(rn, dn)
         consts = None
         if src.consts is not None:
-            moved = set()
-            for pointer in src.consts:
-                base_addr = (pointer + sign * (instr.imm or 0)) & MASK64
-                key = (key_of(pointer) + sign * (instr.tag_imm or 0)) & 0xF
-                moved.add(with_key(base_addr, key))
+            moved = {with_key((pointer + offset) & MASK64,
+                              (key_of(pointer) + tag_delta) & 0xF)
+                     for pointer in src.consts}
             if len(moved) <= CONST_CAP:
                 consts = tuple(sorted(moved))
-        _write(state, instr.rd, replace(src, consts=consts))
-    # STG, B, RET, NOP, BTI, SB, HALT: no register dataflow effect.
+        state[rd] = src._replace(consts=consts)
+    return tag_arith
 
 
-def _run_block(ctx: _Context, block: BasicBlock, state: State,
-               facts: Optional["RegionFacts"]) -> State:
+class _Kernel:
+    """One run's compiled transfer.
+
+    ``blocks`` maps a block index to its steps, compiled at the block's
+    first visit, so the regions a summary cache serves never compile.
+    The load steps hold the run's :class:`_Context` (and their memos), so
+    the table lives here rather than on the context: a context holding
+    its own steps would be a reference cycle, and every run would wait
+    for the cyclic collector to free it.
+    """
+
+    def __init__(self, ctx: _Context):
+        self.ctx = ctx
+        self.blocks: Dict[int, Tuple[Step, ...]] = {}
+
+    def run_block(self, block: BasicBlock, state: State,
+                  facts: "RegionFacts") -> State:
+        """Apply ``block``'s transfer to ``state`` (mutated and returned)."""
+        steps = self.blocks.get(block.index)
+        if steps is None:
+            steps = self.blocks[block.index] = _compile_block(self.ctx, block)
+        for step in steps:
+            step(state, facts)
+        return state
+
+
+#: Opcode -> its step compiler.  STG, B, NOP, BTI, SB and HALT have no
+#: register dataflow effect and compile to no step.
+_COMPILERS: Dict[Opcode, Callable[[_Context, Instruction], Optional[Step]]] = {
+    Opcode.MOV: _compile_mov,
+    **{op: _compile_alu for op in _EVAL},
+    Opcode.CMP: _compile_cmp,
+    Opcode.BL: _compile_call, Opcode.BLR: _compile_call,
+    Opcode.BR: _compile_branch, Opcode.B_COND: _compile_branch,
+    Opcode.CBZ: _compile_branch, Opcode.CBNZ: _compile_branch,
+    Opcode.RET: _compile_branch,
+    Opcode.LDR: _compile_load, Opcode.LDRB: _compile_load,
+    Opcode.LDG: _compile_ldg,
+    Opcode.STR: _compile_store, Opcode.STRB: _compile_store,
+    Opcode.IRG: _compile_irg,
+    Opcode.ADDG: _compile_tag_arith, Opcode.SUBG: _compile_tag_arith,
+}
+
+
+def _compile_block(ctx: _Context, block: BasicBlock) -> Tuple[Step, ...]:
+    """``block``'s instructions as steps, in order."""
+    steps = []
     for instr in block.instructions:
-        _step(ctx, instr, state, facts)
-    return state
+        compiler = _COMPILERS.get(instr.op)
+        step = compiler(ctx, instr) if compiler is not None else None
+        if step is not None:
+            steps.append(step)
+    return tuple(steps)
 
 
 def analyze(program: Program,

@@ -1,8 +1,15 @@
 """Taint/constant dataflow: values, loads, secrets, delayed branches."""
 
+import gc
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cfg import build_cfg
+from repro.analysis.modular import SummaryCache
+from repro.analysis.modular.fixtures import bench_program
+from repro.analysis.modular.summaries import modular_analysis
+from repro.analysis.options import AnalysisOptions
 from repro.analysis.taint import Value, _Context, analyze, const_value
 from repro.isa import assemble
 from repro.isa.program import DataSegment
@@ -234,6 +241,91 @@ def test_stale_loads_mark_results():
 def test_repr_is_compact():
     assert repr(Value()) == "Value(?)"
     assert "0x4" in repr(const_value(4))
+    assert repr(Value((1, 2, 3, 4, 5), attacker=True, loaded=True)) \
+        == "Value({0x1,0x2,0x3,0x4…},al)"
+
+
+# -- the value contract the compiled kernel leans on --------------------------
+
+
+def test_values_compare_and_hash_by_fields():
+    value = Value((1, 2), attacker=True)
+    same = Value((1, 2), True, False, False, False)
+    assert value == same and hash(value) == hash(same)
+    assert value != Value((1, 2), secret=True)
+    assert value != Value((1, 3), attacker=True)
+    assert len({value, same, Value((1, 2))}) == 2
+
+
+def test_join_keeps_self_when_the_other_side_is_equal():
+    # The fixpoint's change test meets the same object when a join
+    # changes nothing.
+    value = const_value(1, 2)
+    assert value.join(value) is value
+    assert value.join(const_value(2, 1)) is value
+    joined = value.join(Value((3,), stale=True))
+    assert joined == Value((1, 2, 3), stale=True)
+
+
+def test_replace_and_pickle_round_trip():
+    value = Value((0x4000,), secret=True, loaded=True)
+    assert value._replace(consts=None) == Value(None, secret=True,
+                                                loaded=True)
+    # Facts cross process boundaries (fuzz shards, service workers).
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is Value
+    assert repr(copy) == repr(value)
+
+
+# -- the per-run compiled kernel ----------------------------------------------
+
+
+def test_a_second_run_reads_edited_data():
+    # A Program is mutable, so no load answer may outlive its run.
+    program = assemble("""
+        .data tbl 0x4000 words 7 9
+        MOV X1, #0x4000
+        LDR X0, [X1, #8]
+        STR X0, [X1]
+        HALT
+    """)
+    assert analyze(program).loads[0x1004].result.consts == (9,)
+    segment = program.data_segments[0]
+    segment.data = segment.data[:8] + (11).to_bytes(8, "little")
+    result = analyze(program)
+    assert result.loads[0x1004].result.consts == (11,)
+    assert result.stores[0x1008].data.consts == (11,)
+
+
+def test_a_run_leaves_no_reference_cycle():
+    # The compiled steps hold the run's context, never the other way
+    # round, so refcounting frees a run as soon as it is dropped.
+    program, ranges = bench_program()
+    gc.collect()
+    gc.disable()
+    try:
+        analyze(program, ranges)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_warm_relint_compiles_only_the_regions_it_reanalyzes():
+    # Blocks compile at their first visit, so the regions a summary cache
+    # serves cost no compilation.
+    cache = SummaryCache()
+    cold = modular_analysis(
+        *bench_program(), options=AnalysisOptions.summary_backed(cache=cache))
+    assert len(cold._engine.kernel.blocks) == len(cold.cfg.blocks)
+    run = modular_analysis(*bench_program(edits={3: 7}),
+                           options=AnalysisOptions.summary_backed(cache=cache))
+    engine = run._engine
+    compiled = set(engine.kernel.blocks)
+    live = {index for rid in engine.reanalyzed_regions
+            for index in engine.regions[rid].blocks}
+    assert run.hits and run.reanalyzed == ("fn3",)
+    assert compiled and compiled <= live
+    assert len(compiled) < len(run.cfg.blocks) // 2
 
 
 # -- the segment index against the linear scan it replaced -------------------

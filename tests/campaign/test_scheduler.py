@@ -5,9 +5,12 @@ figure-9 sweep (4 cells, ~1s each); failure-path tests swap the work
 function for stubs so nothing real has to hang or crash slowly.
 """
 
+import contextlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,6 +19,11 @@ from repro.campaign import (CampaignConfig, CampaignScheduler, ResultStore)
 from repro.campaign.worker import measure_cell
 from repro.errors import ManifestMismatch
 from repro.eval.experiments import MISSING_CELL
+
+#: Every worker fork must happen in a one-thread process.
+pytestmark = pytest.mark.filterwarnings(
+    "error:forking a worker:DeprecationWarning")
+
 
 QUICK = dict(figure="figure9", benchmarks=("505.mcf_r",),
              target_instructions=300, warm_runs=0, max_workers=2,
@@ -31,6 +39,34 @@ def quick_config(**overrides):
 def sleeper(job, heartbeat):
     """A worker that never beats again and never finishes."""
     time.sleep(600)
+
+
+#: The helper's program: sleep, print the time.monotonic() of the signal,
+#: then SIGTERM the given process.
+_SIGTERM_AFTER = ("import os, signal, sys, time; "
+                  "time.sleep(float(sys.argv[1])); "
+                  "print(time.monotonic(), flush=True); "
+                  "os.kill(int(sys.argv[2]), signal.SIGTERM)")
+
+
+@contextlib.contextmanager
+def sigterm_after(delay_s):
+    """SIGTERM this process ``delay_s`` from now, from a helper process.
+
+    A timer thread would do the same, but then every worker fork would
+    come from a two-thread process.  Yields a list that, on exit, holds
+    the time.monotonic() at which the helper sent the signal, if it did.
+    """
+    helper = subprocess.Popen(
+        [sys.executable, "-c", _SIGTERM_AFTER, str(delay_s),
+         str(os.getpid())], stdout=subprocess.PIPE, text=True)
+    sent = []
+    try:
+        yield sent
+    finally:
+        helper.kill()
+        out, _ = helper.communicate()
+        sent.extend(float(line) for line in out.split())
 
 
 class TestEndToEnd:
@@ -159,20 +195,12 @@ class TestRetryRecovery:
 
 class TestGracefulInterrupt:
     def test_sigterm_reaps_workers_and_leaves_run_resumable(self, tmp_path):
-        import signal
-        import threading
-
         config = quick_config()
         run_dir = str(tmp_path / "run")
         scheduler = CampaignScheduler(config, run_dir,
                                       work=sleeper)
-        timer = threading.Timer(
-            0.4, lambda: signal.raise_signal(signal.SIGTERM))
-        timer.start()
-        try:
+        with sigterm_after(0.4):
             outcome = scheduler.run()
-        finally:
-            timer.cancel()
         # Interrupted, not failed: nothing was marked permanently missing,
         # the report says "interrupted", and the directory stays resumable.
         assert outcome.interrupted and not outcome.ok
@@ -182,32 +210,19 @@ class TestGracefulInterrupt:
         assert report["status"] == "interrupted" and report["resumable"]
         assert not report["ok"]
 
-    def test_sigterm_from_another_thread_wakes_the_loop(self, tmp_path):
+    def test_sigterm_from_another_process_wakes_loop(self, tmp_path):
         # Sleeper workers never heartbeat, and with a 60 s stall timeout
-        # the loop's next liveness check is a minute away: only the wakeup
-        # fd can end its sleep promptly when another thread takes the
-        # signal.
-        import signal
-        import threading
-        import time
-
+        # the loop's next liveness check is a minute away: a handler alone
+        # would let the interrupted sleep resume, so only the wakeup fd can
+        # end it promptly when the signal arrives.
         config = quick_config(stall_timeout_s=60.0)
         scheduler = CampaignScheduler(config, str(tmp_path / "run"),
                                       work=sleeper)
-        raised = []
-
-        def terminate():
-            raised.append(time.monotonic())
-            signal.raise_signal(signal.SIGTERM)
-
-        timer = threading.Timer(0.3, terminate)
-        timer.start()
-        try:
+        with sigterm_after(0.3) as sent:
             outcome = scheduler.run()
-        finally:
-            timer.cancel()
+            returned = time.monotonic()
         assert outcome.interrupted and outcome.completed == {}
-        assert raised and time.monotonic() - raised[0] < 2.0
+        assert sent and returned - sent[0] < 2.0
 
     def test_interrupt_flag_stops_loop_without_signal(self, tmp_path):
         # The same path is reachable programmatically (non-main threads,
@@ -219,19 +234,11 @@ class TestGracefulInterrupt:
         assert outcome.interrupted and outcome.completed == {}
 
     def test_interrupted_run_resumes_to_completion(self, tmp_path):
-        import signal
-        import threading
-
         config = quick_config()
         run_dir = str(tmp_path / "run")
         interrupted = CampaignScheduler(config, run_dir,
                                         work=sleeper)
-        timer = threading.Timer(
-            0.3, lambda: signal.raise_signal(signal.SIGTERM))
-        timer.start()
-        try:
+        with sigterm_after(0.3):
             assert interrupted.run().interrupted
-        finally:
-            timer.cancel()
         resumed = CampaignScheduler(config, run_dir).run(resume=True)
         assert resumed.ok and len(resumed.completed) == 4
