@@ -90,9 +90,6 @@ class CallGraph:
                 return node
         raise KeyError(name)
 
-    def scc_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(component) for component in self.sccs)
-
 
 def entry_addresses(program: Program, cfg: CFG) -> FrozenSet[int]:
     """Declared function entries: program entry + BL targets + address-taken."""

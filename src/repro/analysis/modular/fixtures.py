@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.builder import ProgramBuilder
-from repro.isa.instructions import INSTR_BYTES
 from repro.isa.program import Program
 
 #: Data-segment layout (well clear of the text at the default base).
@@ -121,16 +120,4 @@ def bench_program(functions: int = BENCH_FUNCTIONS,
     b.ret()
 
     return b.build(), [(_SECRET_ADDR, _SECRET_ADDR + 1)]
-
-
-def bench_boundaries(program: Program) -> List[int]:
-    """Label addresses as region boundaries (the fuzz executor's idiom).
-
-    The shared ``bench_ret`` funnel is reached by plain branches, so it is
-    not a call-graph root on its own; handing every label to
-    :class:`~repro.analysis.options.AnalysisOptions` keeps each worker its
-    own cacheable region.
-    """
-    return sorted(program.base_address + index * INSTR_BYTES
-                  for index in program.labels.values())
 

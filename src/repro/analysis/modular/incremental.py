@@ -27,9 +27,9 @@ everything the region's answer can depend on:
 Records persist as checksummed JSONL through :mod:`repro.store`
 (DESIGN.md § "Durable state"): whole-file atomic rewrites, and
 corruption-tolerant loads (torn lines, bad checksums and foreign schemas
-are skipped and counted, never fatal).  Since every key hashes the
-environment fingerprint, :meth:`SummaryCache.for_program` keeps one file
-per environment, so a run loads and rewrites only records it can hit.
+are skipped and counted, never fatal).  Every key hashes the environment
+fingerprint, so one file can hold the records of many environments and a
+run hits only its own.
 """
 
 from __future__ import annotations
@@ -266,22 +266,6 @@ class SummaryCache:
     edited function's content digest changes, so its old records simply
     never match again (they stay in the file, unread).
     """
-
-    @classmethod
-    def for_program(cls, directory: str, program: Program,
-                    secret_ranges: Sequence[Tuple[int, int]],
-                    ) -> "SummaryCache":
-        """The cache backed by ``directory/<environment>.jsonl``.
-
-        Every region key hashes :func:`environment_fingerprint`, so only a
-        program with the same fingerprint can hit a record: one file per
-        environment holds all of them, and nothing the run cannot use is
-        read or rewritten.  Runs in different environments never share a
-        file; runs of one environment merge their records at
-        :meth:`flush`.
-        """
-        env = environment_fingerprint(program, secret_ranges)
-        return cls(os.path.join(directory, f"{env}.jsonl"))
 
     def __init__(self, path: Optional[str] = None):
         self.path = path

@@ -5,11 +5,11 @@ Every taint run goes through this engine (:func:`repro.analysis.taint
 .analyze` is its entry point).  It applies the transfer functions and the
 join of :mod:`repro.analysis.taint` region-at-a-time:
 
-- Each function (optionally split further at caller-supplied boundary
-  addresses) is a *region*.  An inner fixpoint analyzes a region given its
-  *interface seeds* — the joined states arriving at its entry blocks from
-  other regions' call/indirect/fall exports, the program entry
-  (:data:`ENTRY_SRC`), and the global RET join (:data:`RET_SRC`).
+- Each function of the call-graph partition is a *region*.  An inner
+  fixpoint analyzes a region given its *interface seeds* — the joined
+  states arriving at its entry blocks from other regions'
+  call/indirect/fall exports, the program entry (:data:`ENTRY_SRC`), and
+  the global RET join (:data:`RET_SRC`).
 - A region's answer (:class:`~repro.analysis.modular.incremental
   .RegionOutputs`) is its cross-edge exports, its joined RET out-state,
   and the per-instruction facts it contributes to the final
@@ -67,7 +67,7 @@ RET_SRC = -2
 
 @dataclass(frozen=True)
 class _Region:
-    """One unit of the partition (a function, or a boundary slice)."""
+    """One unit of the partition: a function."""
 
     rid: int                      # representative root block index
     blocks: Tuple[int, ...]       # CFG block indices, sorted
@@ -154,7 +154,6 @@ class _Engine:
         self.cfg = cfg if cfg is not None else build_cfg(program)
         self.secret_ranges = tuple(secret_ranges)
         self.stale_loads = frozenset(stale_loads)
-        self.options = options
         self.cache = options.cache
         self.ctx = _Context(program, self.cfg, self.secret_ranges,
                             self.stale_loads)
@@ -194,10 +193,6 @@ class _Engine:
         for node in self.callgraph.functions.values():
             for entry in node.entries:
                 roots.add(cfg.block_of_addr[entry])
-        for address in self.options.boundaries:
-            block = cfg.block_of_addr.get(address)
-            if block is not None and cfg.blocks[block].start == address:
-                roots.add(block)
         region_of = partition_blocks(cfg, roots)
         groups: Dict[int, List[int]] = {}
         for index in range(len(cfg.blocks)):
@@ -448,12 +443,6 @@ class _Engine:
 
         reanalyzed = tuple(sorted({self.regions[rid].name
                                    for rid in self.reanalyzed_regions}))
-        if self.options.stats is not None:
-            self.options.stats.book_run(
-                hits=hits, misses=misses,
-                reanalyzed=len(self.reanalyzed_regions),
-                regions=len(self.outputs),
-                scc_sizes=self.callgraph.scc_sizes())
         return ModularAnalysis(
             program=self.program, cfg=self.cfg, callgraph=self.callgraph,
             result=result, cache=self.cache, hits=hits, misses=misses,

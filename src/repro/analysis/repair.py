@@ -293,14 +293,17 @@ def _gadget_window(taint: TaintResult, gadget: Gadget,
 
 
 def _window_cut_point(program: Program, window: Window,
-                      transmitters: Sequence[int]) -> int:
+                      transmitters: Sequence[int]) -> Optional[int]:
     """The latest single address dominating every transmitter.
 
     A vertex min-cut with unit costs over the window's CFG: the common
     dominators of the transmitter set form a chain from the entry, and the
     deepest element is the single insertion point that severs every
     entry-to-transmitter path while keeping the barrier as late (cheap) as
-    possible.  The entry itself always qualifies, so a cut always exists.
+    possible.  The entry dominates every transmitter it reaches.  A body
+    that runs past a barrier (whose out-edges this graph leaves out) can
+    hold a transmitter the entry does not reach; when such transmitters
+    share no dominator with the rest there is no single cut: ``None``.
     """
     body = list(window.body)
     body_set = set(body)
@@ -335,6 +338,8 @@ def _window_cut_point(program: Program, window: Window,
 
     inside = [t for t in transmitters if t in body_set] or [entry]
     common = set.intersection(*(dom[t] for t in inside))
+    if not common:
+        return None
     # Common dominators of a set are totally ordered by their own dominator
     # sets; the largest set is the deepest (latest) point.
     return max(sorted(common), key=lambda a: (len(dom[a]), -a))
@@ -346,11 +351,14 @@ def _barrier_candidate(program: Program, taint: TaintResult, gadget: Gadget,
     if gadget.kind not in WINDOW_KINDS:
         return None
     window = _gadget_window(taint, gadget, core)
-    rewriter = ProgramRewriter(program)
     if window is None:  # pragma: no cover - defensive
         cuts = list(gadget.transmitters)
     else:
-        cuts = [_window_cut_point(program, window, gadget.transmitters)]
+        cut = _window_cut_point(program, window, gadget.transmitters)
+        if cut is None:
+            return None
+        cuts = [cut]
+    rewriter = ProgramRewriter(program)
     for cut in cuts:
         rewriter.insert_before(cut, [barrier_of(
             note=f"repair: cut {gadget.kind.value} window")])

@@ -662,8 +662,8 @@ def analyze(program: Program,
     secrets (for attack PoCs, the :class:`~repro.attacks.common
     .AttackProgram`'s secret); ``stale_loads`` marks load addresses whose
     results should carry the ``stale`` flag (the MDS pass-2 re-run).
-    ``options`` may carry a summary cache, which memoizes region answers,
-    and extra region boundaries; neither changes the facts.
+    ``options`` may carry a summary cache, which memoizes region answers
+    and does not change the facts.
     """
     from repro.analysis.modular.summaries import modular_analysis
     return modular_analysis(program, secret_ranges, cfg, stale_loads,

@@ -195,8 +195,8 @@ class CampaignConfig:
 def system_config(cell: CellSpec, reseed: int = 0) -> SystemConfig:
     """The :class:`SystemConfig` a cell runs under.
 
-    ``reseed`` perturbs the MTE tag-assignment seed (the retry knob, same
-    convention as ``run_resilient``); the cycle budget lands in
+    ``reseed`` perturbs the MTE tag-assignment seed (the scheduler's
+    retry knob for typed failures); the cycle budget lands in
     :attr:`~repro.config.CoreConfig.max_cycles` so every ``run()`` under
     this config inherits it.
     """

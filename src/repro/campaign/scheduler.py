@@ -12,8 +12,8 @@ Drives a sweep's cells through isolated worker subprocesses with:
   rescheduled — the campaign-level analogue of the per-run
   :class:`repro.resilience.watchdog.Watchdog`;
 - **retry with exponential backoff + jitter and reseeding** — attempt *k*
-  waits ``backoff_base_s * 2**(k-1)`` (+ seeded jitter) and perturbs the
-  MTE tag seed, generalizing ``run_resilient`` across process boundaries;
+  waits ``backoff_base_s * 2**(k-1)`` (+ seeded jitter); a typed failure
+  also perturbs the MTE tag seed, so the retry does not replay it;
 - **durable progress** — every completed cell is appended to the
   :class:`~repro.campaign.store.ResultStore` before anything else happens,
   so ``--resume`` skips exactly the work that already landed;
@@ -352,9 +352,9 @@ class CampaignScheduler:
                            cell=worker.cell.cell_id, kind=failure.kind,
                            attempt=failure.attempt)
         if failure.kind == "typed":
-            # Deterministic simulation failure: perturb the MTE seed (the
-            # run_resilient convention).  Every other failure kind keeps
-            # the seed (see _PendingCell.reseed).
+            # Deterministic simulation failure: perturb the MTE seed so
+            # the retry does not replay it.  Every other failure kind
+            # keeps the seed (see _PendingCell.reseed).
             state.reseed += 1
         cell_id = worker.cell.cell_id
         if state.attempts > self.config.max_retries:

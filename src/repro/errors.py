@@ -12,12 +12,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package.
 
     Attributes:
-        failures: when a retrying harness (``run_resilient``, the campaign
-            scheduler) exhausts its attempts, the *full* history of distinct
-            per-attempt failure messages is attached here before the final
-            error is re-raised — earlier failures are diagnostic signal, not
-            noise, and campaign logs must show all of them.  Empty for errors
-            raised outside a retry loop.
         flight: the tail of the process's
             :class:`~repro.telemetry.obs.FlightRecorder` — the last N
             spans/events before the failure — attached by the layer that
@@ -27,8 +21,6 @@ class ReproError(Exception):
             was in scope.
     """
 
-    #: Per-attempt failure messages accumulated by a retry harness.
-    failures: tuple = ()
     #: Flight-recorder tail (recent event dicts) attached at raise time.
     flight: tuple = ()
 

@@ -29,7 +29,6 @@ from repro.attacks import run_attack_program, spectre_v1
 from repro.attacks.matrix import evaluate_matrix, MatrixCell, render_matrix
 from repro.config import (CORTEX_A76, FIG6_DEFENSES, FIG8_DEFENSES,
                           FIG9_DEFENSES, DefenseKind, SystemConfig)
-from repro.errors import ReproError
 from repro.eval.metrics import geomean, normalized, percent
 from repro.system import build_system
 from repro.workloads import parsec_names, spec_names
@@ -204,52 +203,6 @@ def figure5_trace() -> List[tuple]:
                            attack.secret_address + attack.secret_size)]
     core.run(max_cycles=attack.max_cycles)
     return list(core.policy.tsh.trace)
-
-
-def run_resilient(program, defense: DefenseKind = DefenseKind.SPECASAN, *,
-                  config: Optional[SystemConfig] = None,
-                  max_retries: int = 2, max_cycles: Optional[int] = None,
-                  attach=None):
-    """Run ``program`` with bounded retry-with-reseed on typed failures.
-
-    Long experiment sweeps should not abandon a whole campaign because one
-    run deadlocked or tripped an invariant: retry up to ``max_retries``
-    times, perturbing the MTE tag-assignment seed each attempt so the rerun
-    does not just replay the identical failure.  Only :class:`ReproError`
-    subclasses (deadlock, livelock, invariant violations, simulation
-    timeouts) are retried — a bare Python exception is a bug and propagates
-    immediately.  Once retries are exhausted the last error is re-raised
-    with the accumulated per-attempt ``failures`` history attached
-    (:attr:`ReproError.failures`), so campaign logs show every distinct
-    failure, not just the final one.
-
-    ``max_cycles`` defaults to the config's
-    :attr:`~repro.config.CoreConfig.max_cycles` budget.  ``attach`` is
-    called with the fresh core before each attempt — the hook point for
-    resilience objects (checker, watchdog, injector).
-
-    Returns ``(RunResult, failures)`` where ``failures`` lists the error
-    message of each failed attempt (empty on first-try success).
-    """
-    base = (config or CORTEX_A76).with_defense(defense)
-    failures: List[str] = []
-    last_error: Optional[ReproError] = None
-    for attempt in range(1 + max_retries):
-        cfg = base if attempt == 0 else replace(
-            base, mte=replace(base.mte, seed=base.mte.seed + attempt))
-        system = build_system(cfg)
-        core = system.prepare(program)
-        if attach is not None:
-            attach(core)
-        try:
-            core.run(max_cycles=max_cycles)
-        except ReproError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            last_error = exc
-            continue
-        return system.result(), failures
-    last_error.failures = tuple(failures)
-    raise last_error
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +394,6 @@ __all__ = [
     "repair_overhead",
     "RepairRow",
     "run_parsec",
-    "run_resilient",
     "run_spec",
     "table1",
     "table1_differential",

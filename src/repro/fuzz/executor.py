@@ -231,14 +231,6 @@ class FuzzExecutor:
         scope.formula("frontier", lambda: self.coverage.frontier,
                       "distinct analyzer features ever observed")
         self.registry = registry
-        # Warm in-memory summary cache: fuzz candidates are inline (no
-        # BL/RET), so their section labels become partition boundaries and
-        # splice/knob mutations that keep a section's bytes intact re-lint
-        # it from cache.  Books into the ``analysis.modular.*`` scope.
-        from repro.analysis.modular import SummaryCache
-        from repro.telemetry.analysis import ModularStats
-        self.summaries = SummaryCache()
-        self.modular_stats = ModularStats(registry)
 
     # -- candidate stream -------------------------------------------------
 
@@ -267,25 +259,10 @@ class FuzzExecutor:
 
     def _lint(self, candidate: FuzzCandidate
               ) -> Tuple[List[Gadget], List[str]]:
-        """Static oracle with the coverage sink installed.
-
-        Runs against the executor-lifetime summary cache, with the
-        candidate's label addresses as partition boundaries.  Neither
-        changes a verdict: ``tests/analysis/test_lint_golden.py`` lints the
-        drill corpus this way and with no cache, and compares.
-        """
-        from repro.analysis.options import AnalysisOptions
-        program = candidate.attack.builder_program
-        program.link()
-        from repro.isa.instructions import INSTR_BYTES
-        boundaries = [program.base_address + index * INSTR_BYTES
-                      for index in program.labels.values()]
-        options = AnalysisOptions.summary_backed(
-            cache=self.summaries, boundaries=boundaries,
-            stats=self.modular_stats)
+        """Static oracle with the coverage sink installed."""
         with hooks.coverage(self.coverage.observe):
-            gadgets = find_gadgets(program, candidate.secret_ranges,
-                                   options=options)
+            gadgets = find_gadgets(candidate.attack.builder_program,
+                                   candidate.secret_ranges)
         return gadgets, self.coverage.commit()
 
     def _execute(self, candidate: FuzzCandidate,

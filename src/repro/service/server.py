@@ -89,10 +89,6 @@ class ServiceConfig:
     breaker_reset_s: float = 5.0
     quarantine_deaths: int = 2
     max_confirm_cycles: int = 200_000
-    #: Flight-recorder ring capacity (events kept per process).
-    flight_capacity: int = 256
-    #: Write the request span log (spans.jsonl in the state dir).
-    span_log: bool = True
 
 
 @dataclass
@@ -135,11 +131,9 @@ class SpecLintService:
         self.config = config
         self.stats = stats if stats is not None else ServiceStats()
         os.makedirs(config.state_dir, exist_ok=True)
-        self.flight = FlightRecorder(capacity=config.flight_capacity)
-        self.spans = SpanRecorder(
-            os.path.join(config.state_dir, SPANS_LOG)
-            if config.span_log else None,
-            flight=self.flight)
+        self.flight = FlightRecorder()
+        self.spans = SpanRecorder(os.path.join(config.state_dir, SPANS_LOG),
+                                  flight=self.flight)
         self.cache = VerdictCache(config.state_dir)
         self.flights = SingleFlight()
         self.admission = AdmissionController(
@@ -519,7 +513,6 @@ class SpecLintService:
                              parent_id=ctx.root, pool=pool.name,
                              key=key) as dispatch:
             row = dict(await pool.submit(job, key=key, deadline=deadline))
-        self.stats.observe_summary(row.get("summary"))
         timings = row.get("timings", {})
         now = self.spans.now()
         analysis_ms = float(timings.get("analysis_ms", 0.0))
@@ -610,17 +603,11 @@ class SpecLintService:
             kind="degraded-unavailable")
 
     def _job_of(self, request: Request, trace: str = "") -> dict:
-        # ``summary_dir`` points workers at the persistent summary cache,
-        # one file per analysis environment: function-granular reuse
-        # beneath the whole-program verdict cache (a resubmission editing
-        # one function only re-analyzes it and its transitive callers).
         return {"source": request.source, "witness": request.witness,
                 "secret_ranges": [list(r) for r in request.secret_ranges],
                 "defense": request.defense.value,
                 "confirm": request.confirm, "chaos": request.chaos,
                 "max_cycles": self.config.max_confirm_cycles,
-                "summary_dir": os.path.join(self.config.state_dir,
-                                            "summaries"),
                 "trace": trace}
 
     # -- observability -------------------------------------------------------

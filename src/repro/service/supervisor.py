@@ -61,10 +61,10 @@ DEATH_KINDS = frozenset({"crashed", "killed", pool.STALLED})
 
 #: What the template imports once: the pools' work function (this module,
 #: which imports the fork's entry point in ``repro.campaign.pool``), the
-#: worker, and what ``run_job`` imports lazily.
+#: worker, and what ``run_job`` imports lazily (``taint.analyze`` imports
+#: the summary engine on its first call).
 TEMPLATE_PRELOAD = ("repro.service.supervisor", "repro.service.worker",
-                    "repro.analysis.modular",
-                    "repro.analysis.options", "repro.analysis.witness",
+                    "repro.analysis.modular", "repro.analysis.witness",
                     "repro.attacks.common", "repro.system")
 
 #: Past a liveness deadline before re-checking (the checks are strict).

@@ -26,8 +26,7 @@ from typing import Optional
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.gadgets import find_gadgets, leaks_under
-from repro.analysis.modular import SummaryCache, modular_analysis
-from repro.analysis.options import AnalysisOptions
+from repro.analysis.taint import analyze
 from repro.campaign.heartbeat import Heartbeat
 from repro.config import CORTEX_A76, DefenseKind
 from repro.isa.assembler import assemble
@@ -124,27 +123,10 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
     beat(1)
     cfg = build_cfg(program)
     problems = cfg.check_well_formed()
-    # Function-granular reuse beneath the server's whole-program verdict
-    # cache: a job carrying ``summary_dir`` lints against the persistent
-    # summary cache, so a resubmission that edited one function
-    # re-analyzes only it and its transitive callers.  The cache is the
-    # job's environment's own file, the only records it can hit.
-    cache = (SummaryCache.for_program(job["summary_dir"], program,
-                                      secret_ranges)
-             if job.get("summary_dir") else None)
-    options = AnalysisOptions(cache=cache)
-    run = modular_analysis(program, secret_ranges, cfg=cfg, options=options)
-    gadgets = find_gadgets(program, secret_ranges, taint=run.result,
-                           options=options)
-    summary: Optional[dict] = None
-    if cache is not None:
-        cache.flush()
-        # Cache totals cover both taint passes (the MDS stale re-run
-        # included); the worker process is fresh per job, so they are
-        # exactly this job's traffic.
-        summary = {"hits": cache.hits, "misses": cache.misses,
-                   "reanalyzed": list(run.reanalyzed),
-                   "cached_regions": len(cache)}
+    # Cold, with no summary cache: the service's fresh requests almost
+    # never repeat a region, and a cold lint costs about a millisecond.
+    taint = analyze(program, secret_ranges, cfg=cfg)
+    gadgets = find_gadgets(program, secret_ranges, taint=taint)
     beat(2)
     verdicts = {defense.value: any(leaks_under(g, defense) for g in gadgets)
                 for defense in DefenseKind}
@@ -161,8 +143,6 @@ def run_job(job: dict, heartbeat: Optional[Heartbeat] = None,
         "sanitized": all(g.sanitized for g in gadgets),
         "cfg_problems": [f"{p.kind} @ {p.address:#x}" for p in problems],
     }
-    if summary is not None:
-        row["summary"] = summary
     confirm_ms = 0.0
     if job.get("confirm"):
         defense = DefenseKind(job.get("defense", "specasan"))

@@ -14,9 +14,10 @@ fails here.
 The second gate lints the 20 Table-1 variants (every verdict of the 66
 Table-1 cells derives from their gadgets), the twelve witnesses and the
 drill-corpus candidates with no cache and through one summary cache
-shared by all of them, and the corpus candidates once more with the fuzz
-executor's label boundaries: a cache is a memo and boundaries only
-split the partition, so neither may change a report or a verdict.
+shared by all of them: a cache is a memo, so it may not change a report
+or a verdict.  The corpus candidates are no longer linted a third time
+with their labels as region boundaries: the engine takes no boundaries
+since the fuzz executor lints without a cache.
 
 A deliberate model change regenerates the digests with
 
@@ -34,7 +35,7 @@ import pytest
 
 from repro.analysis.gadgets import find_gadgets, leaks_under
 from repro.analysis.modular import SummaryCache
-from repro.analysis.modular.fixtures import bench_boundaries, bench_program
+from repro.analysis.modular.fixtures import bench_program
 from repro.analysis.options import AnalysisOptions
 from repro.analysis.taint import analyze
 from repro.analysis.witness import (
@@ -267,15 +268,10 @@ def test_a_shared_summary_cache_changes_no_answer():
     subjects = [(case,) + tuple(_program(case)) for case in CASES
                 if case.startswith(("table1/", "witness/"))]
     for label, program, ranges in subjects + list(_drill_candidates()):
-        suite = label.partition("/")[0]
         cold = _answer(program, ranges)
         assert _answer(program, ranges,
                        AnalysisOptions(cache=shared)) == cold, label
-        if suite == "corpus":
-            labels = tuple(bench_boundaries(program))
-            split = AnalysisOptions(cache=shared, boundaries=labels)
-            assert _answer(program, ranges, split) == cold, label
-        linted[suite] += 1
+        linted[label.partition("/")[0]] += 1
     assert linted == {"table1": 20, "witness": 12, "corpus": 4}
     assert shared.hits > 0
 

@@ -129,49 +129,34 @@ def test_summaries_from_an_older_analyzer_are_stale(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# one cache file per analysis environment
+# runs that share one cache file keep each other's records at flush
 # ----------------------------------------------------------------------
 
-def test_for_program_names_the_environment_file(tmp_path):
-    program, secret_ranges = bench_program(functions=2)
-    cache = SummaryCache.for_program(str(tmp_path), program, secret_ranges)
-    env = incremental.environment_fingerprint(program, secret_ranges)
-    assert cache.path == os.path.join(str(tmp_path), f"{env}.jsonl")
-    # A code edit keeps the environment; other secret ranges do not.
-    edited, _ = bench_program(functions=2, edits={1: 7})
-    assert SummaryCache.for_program(
-        str(tmp_path), edited, secret_ranges).path == cache.path
-    assert SummaryCache.for_program(
-        str(tmp_path), program, [(0, 8)]).path != cache.path
-
-
 def test_caches_of_two_environments_keep_both_records(tmp_path):
-    directory = str(tmp_path)
+    path = str(tmp_path / "summaries.jsonl")
     program, secret_ranges = bench_program(functions=2)
     other_ranges = [(0x40000, 0x40008)]
-    first = SummaryCache.for_program(directory, program, secret_ranges)
-    second = SummaryCache.for_program(directory, program, other_ranges)
+    first, second = SummaryCache(path), SummaryCache(path)
     _lint(program, secret_ranges, first)
     _lint(program, other_ranges, second)
+    computed = len(first) + len(second)
     first.flush()
     second.flush()      # must not drop what ``first`` just wrote
+    assert len(SummaryCache(path)) == computed
 
     for ranges, cold in ((secret_ranges, first), (other_ranges, second)):
-        warm = SummaryCache.for_program(directory, program, ranges)
-        assert len(warm) == len(cold)
+        warm = SummaryCache(path)
         _lint(program, ranges, warm)
         assert warm.misses == 0
         assert warm.hits == cold.hits + cold.misses
 
 
 def test_overlapping_runs_of_one_environment_keep_both_records(tmp_path):
-    directory = str(tmp_path)
+    path = str(tmp_path / "summaries.jsonl")
     first_program, ranges = bench_program(functions=2, edits={0: 5})
     second_program, _ = bench_program(functions=2, edits={1: 7})
-    # Both open the environment's file before either flushes.
-    first = SummaryCache.for_program(directory, first_program, ranges)
-    second = SummaryCache.for_program(directory, second_program, ranges)
-    assert first.path == second.path
+    # Both open the file before either flushes.
+    first, second = SummaryCache(path), SummaryCache(path)
     _lint(first_program, ranges, first)
     _lint(second_program, ranges, second)
     union = SummaryCache()
@@ -180,7 +165,7 @@ def test_overlapping_runs_of_one_environment_keep_both_records(tmp_path):
     assert (len(first), len(second), len(union)) == (10, 10, 12)
     first.flush()
     second.flush()      # must keep the records ``first`` just wrote
-    assert len(SummaryCache(first.path)) == len(union)
+    assert len(SummaryCache(path)) == len(union)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.analysis.repair import (
     overhead_registry,
     plan,
 )
-from repro.analysis.windows import EntryKind
+from repro.analysis.windows import EntryKind, Window
 from repro.analysis.witness import (
     WITNESS_KINDS,
     secret_ranges_of,
@@ -148,6 +148,25 @@ def test_render_names_fix_and_verdict(repairs):
 
 def test_fix_order_is_cheapest_first():
     assert FIX_ORDER == (FixKind.RETAG, FixKind.MASK, FixKind.BARRIER)
+
+
+def test_no_barrier_cut_when_a_transmitter_lies_past_a_barrier():
+    # A window body that runs past an SB (as under the drop-sb-cut drill)
+    # holds a transmitter the entry cannot reach: no single cut point.
+    program = assemble("""
+        CMP X2, #16
+        LDRB X4, [X3, X2]
+        SB
+        LDRB X5, [X5, X4]
+        HALT
+    """)
+    program.link()
+    body = tuple(i.address for i in program.instructions[:4])
+    entry, first, _, past = body
+    window = Window(kind=EntryKind.PHT, source=entry, entry=entry,
+                    body=body)
+    assert repair._window_cut_point(program, window, [first]) == first
+    assert repair._window_cut_point(program, window, [first, past]) is None
 
 
 def test_gadget_id_roundtrips_through_identity():

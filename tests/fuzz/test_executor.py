@@ -1,4 +1,5 @@
-"""Executor: config round-trip, a tiny agreeing run, determinism."""
+"""Executor: config round-trip, a tiny agreeing run, determinism, and a
+run under an injected analyzer defect."""
 
 from repro.config import DefenseKind
 from repro.fuzz.executor import FuzzConfig, FuzzExecutor, static_verdict
@@ -40,6 +41,7 @@ def test_same_seed_runs_are_identical():
     run_a = FuzzExecutor(TINY, StatsRegistry()).run()
     run_b = FuzzExecutor(TINY, StatsRegistry()).run()
     assert run_a.admitted == run_b.admitted
+    assert run_a.disagreements == run_b.disagreements
     assert run_a.coverage.to_dict() == run_b.coverage.to_dict()
     assert run_a.simulated == run_b.simulated
 
@@ -50,3 +52,12 @@ def test_different_seeds_draw_different_streams():
     run_a = FuzzExecutor(TINY, StatsRegistry()).run()
     run_b = FuzzExecutor(other, StatsRegistry()).run()
     assert run_a.admitted != run_b.admitted
+
+
+def test_a_run_under_an_injected_defect_completes():
+    # Under drop-sb-cut a window body runs past an SB, so the repair
+    # audit meets transmitters that share no dominator for a barrier cut.
+    config = FuzzConfig(budget=10, inject=("drop-sb-cut",))
+    result = FuzzExecutor(config).run()
+    assert result.executed == config.budget
+    assert result.repair_audits > 0

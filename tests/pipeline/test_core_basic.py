@@ -1,5 +1,7 @@
 """End-to-end core behaviour: control flow, calls, memory, halting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import build_system, CORTEX_A76
@@ -198,6 +200,20 @@ class TestRunControl:
     def test_timeout_raises(self):
         with pytest.raises(SimulationError):
             run("loop:\nB loop\nHALT", max_cycles=500)
+
+    def test_cycle_budget_defaults_to_the_config(self):
+        # A configured budget bounds a run called with no max_cycles.
+        config = replace(CORTEX_A76,
+                         core=replace(CORTEX_A76.core, max_cycles=10))
+        core = build_system(config).prepare(assemble("""
+            .data arr 0x5000 zero 1024
+            MOV X1, #0x5000
+            LDR X2, [X1]
+            ADD X0, X2, #7
+            HALT
+        """))
+        with pytest.raises(SimulationError, match="10 cycles"):
+            core.run()
 
     def test_ipc_reported(self):
         result = run("NOP\nNOP\nNOP\nHALT")

@@ -10,9 +10,16 @@ import sys
 import time
 
 from repro.campaign import pool
+from repro.service import cache as verdict_cache
 from repro.service.__main__ import CLEAN_SOURCE, _by_id, _Client
+from repro.service.cache import VerdictCache
+from repro.service.protocol import content_key, parse_request
 from repro.service.server import ServiceConfig, SpecLintService
 from repro.service.supervisor import lint_job
+from repro.service.worker import run_job
+from repro.store import append_record
+
+from tests.analysis.test_modular_incremental import TWO_TBL, TWO_TBL_SECRET
 
 
 def config_for(tmp_path, **overrides) -> ServiceConfig:
@@ -387,3 +394,37 @@ class TestDrainInvariant:
             report = json.load(handle)
         assert report["status"] == "drained"
         assert "stats" in report and "admission" in report
+
+
+def test_verdict_from_an_older_analyzer_is_recomputed(tmp_path,
+                                                      monkeypatch):
+    # Before segment summaries were keyed by address, the second tbl load
+    # read (1, 2, 3), the index stayed off the secret and the program
+    # linted clean.  That cached verdict must not be served.
+    config = config_for(tmp_path)
+    request = {"id": "t", "op": "lint", "source": TWO_TBL,
+               "secret_ranges": [list(r) for r in TWO_TBL_SECRET]}
+    key = content_key(parse_request(json.dumps(request)))
+    clean = {"verdicts": {"none": False, "specasan": False}, "gadgets": [],
+             "gadget_count": 0, "tier": "static"}
+    os.makedirs(config.state_dir)
+    append_record(os.path.join(config.state_dir, VerdictCache.FILE),
+                  {"schema": 1, "key": key, "row": clean})
+    with monkeypatch.context() as old:
+        old.setattr(verdict_cache, "CACHE_SCHEMA", 1)
+        assert VerdictCache(config.state_dir).get(key) == clean
+
+    async def scenario():
+        service = await start_service(config)
+        client = await _Client.connect(service.port)
+        reply = await client.request(request, timeout=60.0)
+        client.close()
+        return reply, await stop_service(service)
+
+    reply, report = asyncio.run(scenario())
+    assert report["cache_rejected_at_load"] == 1
+    assert reply["ok"] is True and reply["cached"] is False
+    assert reply["verdicts"]["none"] is True
+    whole = run_job({"source": TWO_TBL, "secret_ranges": TWO_TBL_SECRET})
+    assert reply["verdicts"] == whole["verdicts"]
+    assert reply["gadgets"] == whole["gadgets"]
