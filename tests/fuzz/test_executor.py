@@ -1,5 +1,7 @@
-"""Executor: config round-trip, a tiny agreeing run, determinism, and a
-run under an injected analyzer defect."""
+"""Executor: config round-trip, a tiny agreeing run, determinism (also of
+the findings), and a run under an injected analyzer defect."""
+
+from dataclasses import replace
 
 from repro.config import DefenseKind
 from repro.fuzz.executor import FuzzConfig, FuzzExecutor, static_verdict
@@ -41,9 +43,20 @@ def test_same_seed_runs_are_identical():
     run_a = FuzzExecutor(TINY, StatsRegistry()).run()
     run_b = FuzzExecutor(TINY, StatsRegistry()).run()
     assert run_a.admitted == run_b.admitted
-    assert run_a.disagreements == run_b.disagreements
     assert run_a.coverage.to_dict() == run_b.coverage.to_dict()
     assert run_a.simulated == run_b.simulated
+
+
+def test_same_seed_runs_find_the_same_disagreements():
+    # A clean analyzer finds nothing, so inject a defect that yields a
+    # finding; a small minimizer budget keeps the two runs cheap.
+    config = replace(TINY, budget=10, minimize_evals=5,
+                     inject=("drop-contention-transmitter",))
+    run_a = FuzzExecutor(config, StatsRegistry()).run()
+    run_b = FuzzExecutor(config, StatsRegistry()).run()
+    assert run_a.disagreements
+    assert run_a.disagreements == run_b.disagreements
+    assert run_a.coverage.to_dict() == run_b.coverage.to_dict()
 
 
 def test_different_seeds_draw_different_streams():
