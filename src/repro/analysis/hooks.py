@@ -57,10 +57,6 @@ def injected(bug: str) -> bool:
     return bug in _injected
 
 
-def any_injected() -> bool:
-    return bool(_injected)
-
-
 @contextlib.contextmanager
 def coverage(sink: CoverageSink) -> Iterator[CoverageSink]:
     """Route analyzer coverage features into ``sink`` within the block."""

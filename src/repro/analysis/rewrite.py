@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import AssemblerError
 from repro.isa.instructions import INSTR_BYTES, Instruction
@@ -180,8 +180,3 @@ def mask_of(reg: int, mask: int, note: str = "") -> Instruction:
     from repro.isa.instructions import Opcode
     return Instruction(Opcode.AND, rd=reg, rn=reg, imm=mask, note=note)
 
-
-def translate_addresses(addresses: Tuple[int, ...],
-                        result: RewriteResult) -> Tuple[int, ...]:
-    """Translate a tuple of original addresses through ``result``."""
-    return tuple(result.translate(address) for address in addresses)

@@ -145,15 +145,6 @@ def emit_transmit(b: ProgramBuilder, value_reg: str, probe_reg: str,
     b.ldrb(dest, "X7", note="TRANSMIT: touch probe[Y*4096]")
 
 
-def emit_slow_load(b: ProgramBuilder, dest: str, cell_index: int,
-                   addr_reg: str = "X15") -> None:
-    """Load from a never-before-touched line — a guaranteed DRAM-latency
-    miss used to hold branches/addresses unresolved (the speculation
-    window)."""
-    b.li(addr_reg, SLOW_CELLS + cell_index * 4096)
-    b.ldr(dest, addr_reg, note="slow load (speculation window)")
-
-
 def slow_cell_segment(b: ProgramBuilder, count: int = 8,
                       values: Optional[List[int]] = None) -> None:
     """Back the slow cells with real memory so the loads return data."""

@@ -6,14 +6,13 @@ same kind of unit: a worker process that writes a heartbeat file from
 inside its work loop and an outcome JSON on exit.  This module is the
 machinery they share:
 
-- :func:`fork` — launch one worker as a fresh ``fork()`` that calls a
-  work function on its job, ``work(job, heartbeat)``, with its output
-  captured to a log file, and writes the outcome file from what the
-  call returned or raised.  The campaign and fuzz supervisors fork
-  themselves: they run single-threaded and have imported everything a
-  worker needs before their first launch.  The threaded service forks a
-  template process (:func:`start_template`) that imported the worker's
-  modules once;
+- :func:`fork` — launch one worker as a fresh ``fork()`` of the calling
+  supervisor that calls a work function on its job, ``work(job,
+  heartbeat)``, with its output captured to a log file, and writes the
+  outcome file from what the call returned or raised.  Every supervisor
+  forks itself, single-threaded, once it has imported everything a
+  worker needs (the service imports its worker's modules on a thread it
+  joins before its first fork);
 - :class:`WorkerProcess` — one supervised worker: non-blocking exit
   polling, heartbeat-staleness and wall-budget liveness checks, and
   terminate-then-kill reaping;
@@ -27,12 +26,11 @@ machinery they share:
   :class:`WorkerExit` classification.
 
 A fork starts from a copy of its parent's memory, so the parent must
-never have run a worker's work itself: the supervisors only schedule, as
-the template only imports.  What else the fork copies, the child undoes
-before the work runs (:func:`_run`), so it acts as a fresh interpreter
-did.  The outcome stays a file rather than a pipe: a row larger than
-the pipe buffer would block a child whose parent sleeps on that child's
-exit sentinel.
+never have run a worker's work itself: the supervisors only schedule.
+What else the fork copies, the child undoes before the work runs
+(:func:`_run`), so it acts as a fresh interpreter did.  The outcome
+stays a file rather than a pipe: a row larger than the pipe buffer
+would block a child whose parent sleeps on that child's exit sentinel.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ import json
 import os
 import select
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -62,10 +61,6 @@ EXIT_TYPED_FAILURE = 3
 #: Liveness-failure kinds reported by :meth:`WorkerProcess.liveness_failure`.
 WALL_TIMEOUT = "wall-timeout"
 STALLED = "stalled"
-
-#: A forked worker's exit status once its template died (multiprocessing
-#: reports the lost status pipe as 255).
-TEMPLATE_LOST = 255
 
 
 def worker_env() -> dict:
@@ -213,7 +208,7 @@ class WorkerProcess:
 
 
 # ----------------------------------------------------------------------
-# forked launch: a fresh fork() per worker, of this process or a template
+# forked launch: a fresh fork() of the supervisor per worker
 # ----------------------------------------------------------------------
 
 #: The signals a supervisor handles and its forked workers must not: they
@@ -221,51 +216,14 @@ class WorkerProcess:
 _SUPERVISOR_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
-def _context(name: str):
-    # Imported on first use: a supervisor that never forks never pays it.
-    import multiprocessing
-    return multiprocessing.get_context(name)
-
-
-def _ensure_template() -> None:
-    """Start the template unless it is running, with :func:`worker_env`'s
-    path: it inherits this process's environment, and multiprocessing
-    skips a preload that fails to import, so without the path it would
-    silently preload nothing."""
-    from multiprocessing import forkserver
-    saved = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = worker_env()["PYTHONPATH"]
-    try:
-        forkserver.ensure_running()
-    finally:
-        if saved is None:
-            del os.environ["PYTHONPATH"]
-        else:
-            os.environ["PYTHONPATH"] = saved
-
-
-def template_pid() -> Optional[int]:
-    """Pid of the running template, if one was started (fault drills)."""
-    from multiprocessing import forkserver
-    return forkserver._forkserver._forkserver_pid
-
-
-def _noop() -> None:
-    """The template's warm-up job."""
-
-
-def start_template(preload: Sequence[str]) -> None:
-    """Start the template that imports ``preload`` once, and wait until
-    it forks: it answers only after the preload, so this blocks through
-    the imports (an event loop runs it in an executor).  With a template
-    already running this costs one trivial fork."""
-    context = _context("forkserver")
-    context.set_forkserver_preload(list(preload))
-    _ensure_template()
-    warm = context.Process(target=_noop, daemon=True)
-    warm.start()
-    warm.join()
-    warm.close()
+def _close_sockets() -> None:
+    """Close every socket fd above 2 that the fork inherited."""
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        if fd > 2:
+            with contextlib.suppress(OSError):   # the listing's own, closed
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.close(fd)
 
 
 def _run(work: Callable[[Any, Heartbeat], dict], job: Any,
@@ -276,7 +234,10 @@ def _run(work: Callable[[Any, Heartbeat], dict], job: Any,
 
     The supervisor's SIGTERM/SIGINT handlers and signal wakeup fd give
     way to a fresh interpreter's defaults before the signals are
-    unblocked, so a reap's SIGTERM kills the worker at any moment.  fds 1
+    unblocked, so a reap's SIGTERM kills the worker at any moment.  Every
+    socket fd above 2 is closed: a fork of the service would otherwise
+    hold its listener, its clients' connections and its event loop's
+    self-pipe, and keep the port bound after the service died.  fds 1
     and 2 move to the attempt log, and ``sys.stdout``/``sys.stderr`` are
     rebound to them: the supervisor's streams may be the service's
     ``--stdio`` protocol stream or a test runner's capture.
@@ -291,6 +252,7 @@ def _run(work: Callable[[Any, Heartbeat], dict], job: Any,
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _SUPERVISOR_SIGNALS)
+    _close_sockets()
     fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     os.dup2(fd, 1)
     os.dup2(fd, 2)
@@ -322,9 +284,8 @@ class _Forked:
     ``terminate``, ``kill``, ``wait``) over one forked worker, plus its
     exit ``sentinel``."""
 
-    def __init__(self, process, template: bool):
+    def __init__(self, process):
         self.process = process
-        self.template = template
         self.pid: int = process.pid
         self.sentinel: int = process.sentinel
         self.returncode: Optional[int] = None
@@ -333,12 +294,6 @@ class _Forked:
         if self.returncode is None and self.process.exitcode is not None:
             self.returncode = self.process.exitcode
             self.process.close()
-            if self.template and self.returncode == TEMPLATE_LOST:
-                # The template died with the exit status, and the orphan
-                # may still run.  Pids are handed out in sequence, so this
-                # one cannot belong to anyone else yet.
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(self.pid, signal.SIGKILL)
         return self.returncode
 
     def terminate(self) -> None:
@@ -362,31 +317,25 @@ class _Forked:
 def fork(work: Callable[[Any, Heartbeat], dict], job: Any, *,
          out_path: str, heartbeat_path: str, log_path: str,
          heartbeat_interval: int = 2000, timeout_s: float = float("inf"),
-         stall_timeout_s: float = float("inf"),
-         template: bool = False) -> WorkerProcess:
+         stall_timeout_s: float = float("inf")) -> WorkerProcess:
     """Launch one worker that runs ``work(job, heartbeat)`` in a fresh
-    fork and writes its outcome (:func:`_run`).
+    fork of this process and writes its outcome (:func:`_run`).
 
-    The child's imports are already done: it is a fork of this process,
-    or with ``template`` a fork of the template (restarted if it died),
-    which unpickles ``work`` and ``job``, so a template's ``work`` is a
-    module-level function (or a ``functools.partial`` of one).  This
-    process must then be single-threaded, as a fork copies only the
-    calling thread; CPython 3.12+ deprecates forking a multi-threaded
-    process but drops its own warning when warnings are errors, so it is
-    repeated here.
+    The child's imports are already done, and ``work`` and ``job`` reach
+    it in the fork's copied memory, so any callable will do.  This
+    process must be single-threaded, as a fork copies only the calling
+    thread; CPython 3.12+ deprecates forking a multi-threaded process but
+    drops its own warning when warnings are errors, so it is repeated
+    here.
     """
-    if template:
-        _ensure_template()
-        context = _context("forkserver")
-    else:
-        context = _context("fork")
-        threads = threading.active_count()
-        if threads > 1:
-            warnings.warn(f"forking a worker from a process with {threads} "
-                          "threads may deadlock it", DeprecationWarning,
-                          stacklevel=2)
-    process = context.Process(
+    # Imported on first use: a supervisor that never forks never pays it.
+    import multiprocessing
+    threads = threading.active_count()
+    if threads > 1:
+        warnings.warn(f"forking a worker from a process with {threads} "
+                      "threads may deadlock it", DeprecationWarning,
+                      stacklevel=2)
+    process = multiprocessing.get_context("fork").Process(
         target=_run, args=(work, job, out_path, heartbeat_path,
                            heartbeat_interval, log_path), daemon=True)
     blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _SUPERVISOR_SIGNALS)
@@ -394,7 +343,7 @@ def fork(work: Callable[[Any, Heartbeat], dict], job: Any, *,
         process.start()
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    return WorkerProcess(_Forked(process, template), out_path=out_path,
+    return WorkerProcess(_Forked(process), out_path=out_path,
                          heartbeat_path=heartbeat_path, log_path=log_path,
                          timeout_s=timeout_s,
                          stall_timeout_s=stall_timeout_s)

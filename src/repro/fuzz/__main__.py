@@ -243,8 +243,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.smoke:
-            return _smoke(args.budget if args.budget != SMOKE_BUDGET
-                          else SMOKE_BUDGET, DRILL_BUDGET)
+            return _smoke(args.budget, DRILL_BUDGET)
         if args.selftest:
             return _smoke(SELFTEST_BUDGET, DRILL_BUDGET // 2)
         if args.campaign is not None:

@@ -94,6 +94,13 @@ class FuzzConfig:
     inject: Tuple[str, ...] = ()
     bias: GeneratorBias = field(default_factory=GeneratorBias)
 
+    def __post_init__(self) -> None:
+        if self.sim_every < 1:
+            raise FuzzError(f"sim_every must be at least 1, "
+                            f"not {self.sim_every}")
+        if self.budget < 0:
+            raise FuzzError(f"budget must not be negative, not {self.budget}")
+
     def to_dict(self) -> dict:
         return {"seed": self.seed, "budget": self.budget,
                 "defenses": [d.value for d in self.defenses],
@@ -410,8 +417,3 @@ class FuzzExecutor:
             repair_audits=int(self.stats["repair_audits"].value),  # type: ignore
             repair_skips=self.config.repair_budget - self._repair_spent)
 
-
-def run_fuzz(config: FuzzConfig,
-             registry: Optional[StatsRegistry] = None) -> FuzzResult:
-    """One full deterministic fuzzing run under ``config``."""
-    return FuzzExecutor(config, registry).run()

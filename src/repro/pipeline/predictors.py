@@ -182,9 +182,6 @@ class ReturnStackBuffer:
         self._tos = (self._tos - 1) % self.capacity
         return value
 
-    def peek(self) -> Optional[int]:
-        return self._slots[self._tos]
-
     def corrupt(self, rng) -> None:
         """Fault injection: scramble every occupied return-address slot."""
         for index, slot in enumerate(self._slots):

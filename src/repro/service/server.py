@@ -37,6 +37,7 @@ import itertools
 import json
 import os
 import signal
+import socket
 import time
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, List, Optional, Tuple
@@ -50,7 +51,7 @@ from repro.service.protocol import (MAX_REQUEST_BYTES, Request, content_key,
                                     encode, error_response, ok_response,
                                     parse_request, pong_response,
                                     stats_response, timing_breakdown)
-from repro.service.supervisor import Template, WorkerPool
+from repro.service.supervisor import WorkerPool, start_preload
 from repro.store import atomic_write
 from repro.telemetry.obs import (SPAN_CACHE_LOOKUP, SPAN_CONFIRM,
                                  SPAN_POOL_DISPATCH, SPAN_QUEUE_WAIT,
@@ -144,14 +145,12 @@ class SpecLintService:
             on_quarantine=lambda key: self.flight.record(
                 "quarantine", key=key))
         work_dir = os.path.join(config.state_dir, "work")
-        #: The fork-server template both pools launch workers from.
-        self.template = Template()
         pool_kwargs = dict(
             stats=self.stats, quarantine=self.quarantine,
             max_restarts=config.max_restarts,
             stall_timeout_s=config.stall_timeout_s,
             allow_chaos=config.allow_chaos, work=work,
-            flight=self.flight, template=self.template)
+            flight=self.flight)
         self.static_pool = WorkerPool(
             "static", work_dir, size=config.static_workers,
             breaker=self._breaker("static"), **pool_kwargs)
@@ -183,13 +182,23 @@ class SpecLintService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the TCP listener, start the worker template's preload off
-        the event loop, and start the dispatcher tasks."""
+        """Bind the TCP listener, start the worker modules' preload off
+        the event loop, and start the dispatcher tasks.
+
+        The host is resolved here, on the loop's thread: asyncio would
+        resolve a name such as ``localhost`` on its default executor,
+        whose thread outlives the call, and a worker must be forked from
+        a one-thread process.
+        """
+        family, _, _, _, address = socket.getaddrinfo(
+            self.config.host or None, self.config.port,
+            type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)[0]
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
+            self._handle_connection,
+            sock=socket.create_server(address, family=family),
             limit=max(self.config.max_request_bytes * 2, 64 * 1024))
         self.port = self._server.sockets[0].getsockname()[1]
-        self.template.start()
+        start_preload()
         count = self.config.static_workers + self.config.dynamic_workers
         self._dispatchers = [
             asyncio.create_task(self._dispatcher(), name=f"dispatch-{i}")

@@ -4,13 +4,12 @@ Wraps the shared :mod:`repro.campaign.pool` primitives (forked launch,
 heartbeat liveness, exit classification, reap) in an asyncio supervision
 loop:
 
-- **forked launch** — every attempt is a fresh ``fork()`` of one
-  :class:`Template` process that imported the worker's modules once, so a
+- **forked launch** — every attempt is a fresh ``fork()`` of the service,
+  which imported the worker's modules once (:func:`start_preload`), so a
   job pays for a fork, not for an interpreter start and its imports; the
   fork calls the pool's work function (:func:`lint_job`) on the job, and
-  the supervisor
-  sleeps on the worker's exit sentinel, waking when it exits or when a
-  liveness check falls due;
+  the supervisor sleeps on the worker's exit sentinel, waking when it
+  exits or when a liveness check falls due;
 - **bounded concurrency** — at most ``size`` worker processes per pool;
 - **deadlines** — each job runs under the request's remaining budget as
   its wall limit; overruns are reaped and surface as typed ``deadline``
@@ -30,8 +29,8 @@ loop:
   workers is poison and gets typed ``quarantined`` rejections).
 
 The pool is job-per-process: each attempt runs in its own fork of the
-template, whose memory is a copy of the template's post-import image and
-never of an earlier job's.  So "restart" means relaunching the job in a
+service, whose memory is a copy of a supervisor that never runs a job,
+and never of an earlier job's.  So "restart" means relaunching the job in a
 fresh fork — there is no long-lived worker state to resurrect, which is
 exactly what makes the restarts safe.  An attempt's files in the work
 directory go once its exit is classified; a failed attempt keeps its log
@@ -41,12 +40,16 @@ as evidence, also past a service restart.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import functools
+import importlib
 import itertools
 import os
+import sys
+import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.campaign import pool
 from repro.campaign.heartbeat import Heartbeat
@@ -59,57 +62,64 @@ from repro.telemetry.service import ServiceStats
 #: Worker-exit kinds that count as deaths (environmental, retryable).
 DEATH_KINDS = frozenset({"crashed", "killed", pool.STALLED})
 
-#: What the template imports once: the pools' work function (this module,
-#: which imports the fork's entry point in ``repro.campaign.pool``), the
-#: worker, and what ``run_job`` imports lazily (``taint.analyze`` imports
-#: the summary engine on its first call).
-TEMPLATE_PRELOAD = ("repro.service.supervisor", "repro.service.worker",
-                    "repro.analysis.modular", "repro.analysis.witness",
-                    "repro.attacks.common", "repro.system")
+#: What a job imports: the worker, and what ``run_job`` imports lazily
+#: (``taint.analyze`` imports the summary engine on its first call).
+WORKER_MODULES = ("repro.service.worker", "repro.analysis.modular",
+                  "repro.analysis.witness", "repro.attacks.common",
+                  "repro.system")
 
 #: Past a liveness deadline before re-checking (the checks are strict).
 _CHECK_SLACK_S = 0.001
+
+#: This process's one import of :data:`WORKER_MODULES`: the thread that
+#: runs it and the future it settles when done.
+_preload: Optional[Tuple[threading.Thread, concurrent.futures.Future]] = None
 
 
 def lint_job(job: dict, heartbeat: Heartbeat,
              allow_chaos: bool = False) -> dict:
     """The pools' default work function: the job's row.
 
-    The worker is imported here, in the fork, where the template has it
-    preloaded: the service process, which only supervises, never imports
-    the analyzer and the simulator.
+    The worker is imported here, in the fork, which finds it preloaded:
+    the service's start-up, which binds the listener and answers
+    ``ping``, never waits for the analyzer's import.
     """
     from repro.service.worker import run_job
     return {"row": run_job(job, heartbeat, allow_chaos)}
 
 
-class Template:
-    """The fork-server template that one service's pools fork from.
+def _import_worker(done: concurrent.futures.Future) -> None:
+    try:
+        for name in WORKER_MODULES:
+            importlib.import_module(name)
+    finally:   # a failed import fails again, with its traceback, in a job
+        done.set_result(None)
 
-    :meth:`start` runs the preload in the default executor, never on the
-    event loop; launches await :meth:`ready`, then fork on the loop
-    thread.  Every later multiprocessing call stays on that one thread:
-    starting a process polls every live child, and two threads reading one
-    child's status pipe can lose its exit code.
-    """
 
-    def __init__(self) -> None:
-        self._ready: Optional[asyncio.Future] = None
+def start_preload() -> None:
+    """Import :data:`WORKER_MODULES` on a plain thread, off the event
+    loop: once per process, so a later service finds them imported (or
+    the thread still running) and starts none."""
+    global _preload
+    if _preload is None \
+            and not all(name in sys.modules for name in WORKER_MODULES):
+        done: concurrent.futures.Future = concurrent.futures.Future()
+        done.set_running_or_notify_cancel()   # a waiter cannot cancel it
+        thread = threading.Thread(target=_import_worker, args=(done,),
+                                  name="preload", daemon=True)
+        thread.start()
+        _preload = (thread, done)
 
-    def start(self) -> None:
-        if self._ready is None:
-            self._ready = asyncio.get_running_loop().run_in_executor(
-                None, pool.start_template, TEMPLATE_PRELOAD)
 
-    async def ready(self) -> None:
-        """Wait until the template can fork, starting it if need be."""
-        self.start()
-        assert self._ready is not None
-        try:
-            await asyncio.shield(self._ready)
-        except Exception:
-            self._ready = None   # start afresh on the next launch
-            raise
+async def preloaded() -> None:
+    """Return once the preload is done and its thread has ended, so the
+    next fork copies a one-thread process."""
+    start_preload()
+    if _preload is not None:
+        thread, done = _preload
+        if not done.done():
+            await asyncio.wrap_future(done)
+        thread.join()
 
 
 async def _sleep_until_exit(worker: WorkerProcess, timeout: float) -> None:
@@ -129,8 +139,7 @@ class WorkerPool:
     """One supervised pool (the service runs two: static and dynamic).
 
     ``work`` is what each forked attempt calls on the job (default:
-    :func:`lint_job`, with chaos modes as ``allow_chaos`` says).  The template unpickles it, so it must be a
-    module-level function or a ``functools.partial`` of one.
+    :func:`lint_job`, with chaos modes as ``allow_chaos`` says).
     """
 
     def __init__(self, name: str, work_dir: str, *, size: int = 2,
@@ -140,8 +149,7 @@ class WorkerPool:
                  max_restarts: int = 1, backoff_base_s: float = 0.05,
                  stall_timeout_s: float = 20.0, allow_chaos: bool = False,
                  work: Optional[Callable[[Any, Heartbeat], dict]] = None,
-                 flight: Optional[FlightRecorder] = None,
-                 template: Optional[Template] = None):
+                 flight: Optional[FlightRecorder] = None):
         self.name = name
         self.work_dir = work_dir
         self.stats = stats
@@ -153,7 +161,6 @@ class WorkerPool:
         self.stall_timeout_s = stall_timeout_s
         self.work = work or functools.partial(lint_job,
                                               allow_chaos=allow_chaos)
-        self.template = template if template is not None else Template()
         self._slots = asyncio.Semaphore(size)
         # Attempt n writes <pool>.<token>.j<n>.*: a token of its own keeps
         # a restarted service from reusing, and so deleting, the names of
@@ -205,7 +212,7 @@ class WorkerPool:
                                 deadline: float) -> dict:
         deaths = 0
         while True:
-            await self.template.ready()
+            await preloaded()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ServiceError("request budget expired", kind="deadline")
@@ -264,8 +271,7 @@ class WorkerPool:
             self.work, job, out_path=paths["out"],
             heartbeat_path=paths["heartbeat"], log_path=paths["log"],
             timeout_s=budget_s,
-            stall_timeout_s=min(self.stall_timeout_s, budget_s),
-            template=True)
+            stall_timeout_s=min(self.stall_timeout_s, budget_s))
         self._active.add(worker)
         exit: Optional[WorkerExit] = None
         try:

@@ -1,8 +1,9 @@
 """Service worker: runs exactly one lint job, in its own process.
 
-The supervisor forks a template per job attempt
+The service forks itself per job attempt
 (:func:`repro.campaign.pool.fork`) and the fork calls the pool's work
-function, :func:`repro.service.supervisor.lint_job`, which runs
+function, :func:`repro.service.supervisor.lint_job`, which imports this
+module (preloaded in the service, off its start-up path) and runs
 :func:`run_job`, so a poison program — one that crashes, wedges, or OOMs
 the analyzer or simulator — takes down *one request's attempt*, never the
 service.  The heartbeat is pulsed at every job stage (and from inside the

@@ -1,13 +1,6 @@
 """Work functions for the pool tests, run in a fork as ``work(job,
-heartbeat)``.
+heartbeat)``."""
 
-A template fork unpickles them by name, so they live at module level.
-The module imports only the standard library: what a job finds in
-``sys.modules`` is then what the fork inherited, not what this module
-pulled in (``repro`` is imported inside the functions that need it).
-"""
-
-import sys
 import time
 
 
@@ -42,11 +35,6 @@ def fail_typed(job, heartbeat):
     """Fail with a typed simulation error."""
     from repro.errors import SimulationError
     raise SimulationError(job)
-
-
-def loaded(job, heartbeat):
-    """Which of the ``job`` modules the fork holds before importing."""
-    return {"loaded": {name: name in sys.modules for name in job}}
 
 
 def mark_image(job, heartbeat):

@@ -1,6 +1,5 @@
 """The shared process-pool core (campaign + service supervision)."""
 
-import functools
 import json
 import os
 import signal
@@ -8,13 +7,10 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro.campaign import pool
 from repro.campaign.pool import classify_exit
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.cells import CampaignConfig
-from repro.service.supervisor import TEMPLATE_PRELOAD
 
 from tests.campaign import forked_jobs
 
@@ -50,16 +46,12 @@ class TestClassifyExit:
 
 
 class TestWorkerProcess:
-    """The launch contract, over :func:`fork` of this process;
-    :class:`TestForkedWorkerProcess` reruns every test over a fork of the
-    template."""
-
-    launcher = staticmethod(pool.fork)
+    """The launch contract, over :func:`fork` of this process."""
 
     def _spawn(self, tmp_path, work, job=None, **kwargs):
         paths = {name: str(tmp_path / name)
                  for name in ("out", "hb", "log")}
-        worker = self.launcher(work, job, out_path=paths["out"],
+        worker = pool.fork(work, job, out_path=paths["out"],
                                heartbeat_path=paths["hb"],
                                log_path=paths["log"], **kwargs)
         return worker, paths
@@ -167,35 +159,6 @@ class TestWorkerProcess:
             os.close(write_fd)
         assert worker.exit() is None
         worker.reap()
-
-
-@pytest.fixture(scope="class")
-def template():
-    pool.start_template(TEMPLATE_PRELOAD)
-
-
-@pytest.mark.usefixtures("template")
-class TestForkedWorkerProcess(TestWorkerProcess):
-    launcher = staticmethod(functools.partial(pool.fork, template=True))
-
-    def _probe(self, tmp_path, work, job=None):
-        """Run ``work`` in a forked job; returns its ok outcome."""
-        worker, paths = self._spawn(tmp_path, work, job)
-        exit = self._finish(worker)
-        assert exit.kind == "ok", pool.log_tail(paths["log"])
-        return exit.outcome
-
-    def test_preload_is_in_the_fork(self, tmp_path):
-        # forked_jobs imports no repro module itself.
-        outcome = self._probe(tmp_path, forked_jobs.loaded,
-                              ("repro.analysis.taint", "repro.system"))
-        assert outcome["loaded"] == {"repro.analysis.taint": True,
-                                     "repro.system": True}
-
-    def test_each_job_gets_a_fresh_image(self, tmp_path):
-        first = self._probe(tmp_path, forked_jobs.mark_image)
-        second = self._probe(tmp_path, forked_jobs.mark_image)
-        assert first["seen"] is False and second["seen"] is False
 
 
 class TestSelfFork:

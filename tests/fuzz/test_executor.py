@@ -1,9 +1,14 @@
-"""Executor: config round-trip, a tiny agreeing run, determinism (also of
-the findings), and a run under an injected analyzer defect."""
+"""Executor: config round-trip and validation, a tiny agreeing run,
+determinism (also of the findings), and a run under an injected analyzer
+defect."""
 
 from dataclasses import replace
 
+import pytest
+
 from repro.config import DefenseKind
+from repro.errors import FuzzError
+from repro.fuzz.__main__ import main
 from repro.fuzz.executor import FuzzConfig, FuzzExecutor, static_verdict
 from repro.fuzz.generator import build, CandidateSpec, SectionSpec
 from repro.analysis.gadgets import find_gadgets
@@ -18,6 +23,16 @@ def test_config_dict_round_trip():
                         defenses=(DefenseKind.SPECASAN,),
                         inject=("drop-sb-cut",))
     assert FuzzConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_rejects_sim_every_zero_and_a_negative_budget(tmp_path):
+    with pytest.raises(FuzzError, match="sim_every"):
+        FuzzConfig(sim_every=0)
+    with pytest.raises(FuzzError, match="budget"):
+        FuzzConfig(budget=-3)
+    # A harness error, not a finding (exit 1) or a ZeroDivisionError.
+    assert main(["--run", "--sim-every", "0", "--budget", "60",
+                 "--out", str(tmp_path / "run")]) == 2
 
 
 def test_static_verdict_filters_by_channel():

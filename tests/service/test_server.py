@@ -1,13 +1,13 @@
-"""End-to-end service tests over real TCP and real worker subprocesses."""
+"""End-to-end service tests over real TCP and real forked workers."""
 
 import asyncio
-import functools
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
+
+import pytest
 
 from repro.campaign import pool
 from repro.service import cache as verdict_cache
@@ -15,11 +15,15 @@ from repro.service.__main__ import CLEAN_SOURCE, _by_id, _Client
 from repro.service.cache import VerdictCache
 from repro.service.protocol import content_key, parse_request
 from repro.service.server import ServiceConfig, SpecLintService
-from repro.service.supervisor import lint_job
 from repro.service.worker import run_job
 from repro.store import append_record
 
 from tests.analysis.test_modular_incremental import TWO_TBL, TWO_TBL_SECRET
+from tests.campaign import forked_jobs
+
+#: Every worker fork must happen in a one-thread process.
+pytestmark = pytest.mark.filterwarnings(
+    "error:forking a worker:DeprecationWarning")
 
 
 def config_for(tmp_path, **overrides) -> ServiceConfig:
@@ -33,7 +37,7 @@ def config_for(tmp_path, **overrides) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
-# Work functions for the pools' forks, which unpickle them by name.
+# Work functions for the pools' forks.
 
 def crashing_work(job, heartbeat):
     """Dies at once with no outcome: stands in for a dead/sick pool in
@@ -41,9 +45,22 @@ def crashing_work(job, heartbeat):
     raise SystemExit(70)
 
 
-def sleeping_work(job, heartbeat):
-    """Outlives any test that does not reap it."""
-    time.sleep(60)
+def socket_fds(job, heartbeat):
+    """The row of a job that lists the socket fds above 2 it holds."""
+    sockets = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:   # the listing's own fd, closed by now
+            continue
+        if int(name) > 2 and target.startswith("socket:"):
+            sockets.append(target)
+    return {"row": {"sockets": sockets}}
+
+
+def image_mark(job, heartbeat):
+    """The row of :func:`forked_jobs.mark_image`."""
+    return {"row": forked_jobs.mark_image(job, heartbeat)}
 
 
 async def start_service(config, **kwargs) -> SpecLintService:
@@ -258,64 +275,135 @@ class TestPoisonQuarantine:
             "shutdown report lists the poisoned hash"
 
 
-def _gone(pid: int) -> bool:
-    """True once ``pid`` no longer runs (a zombie counts as gone)."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
-    except OSError:
-        return True
+#: Piped to a fresh ``python -``: a service whose pool's work function
+#: is defined in that script reports which worker modules were imported
+#: before it started (its preload begins then) and which a forked job
+#: finds.
+PRELOAD_PROBE = """
+import asyncio, json, sys, time
+from repro.service.server import ServiceConfig, SpecLintService
+
+MODULES = ("repro.service.worker", "repro.analysis.taint",
+           "repro.analysis.witness")
 
 
-class TestTemplateDeath:
-    def test_killed_template_costs_one_death_and_restarts(self, tmp_path):
-        """SIGKILL the fork-server template under a running job: the job
-        counts one death and is retried in a fork of a fresh template, its
-        orphan is killed, and the next request is served."""
+def loaded(job, heartbeat):
+    return {"row": {name: name in sys.modules for name in MODULES}}
+
+
+async def probe():
+    service = SpecLintService(ServiceConfig(state_dir=sys.argv[1]),
+                              work=loaded)
+    before = {name: name in sys.modules for name in MODULES}
+    await service.start()
+    in_fork = await service.static_pool.submit(
+        {}, key="probe", deadline=time.monotonic() + 60)
+    service.request_drain()
+    await service.wait_drained()
+    print(json.dumps({"before": before, "in_fork": in_fork}))
+
+
+asyncio.run(probe())
+"""
+
+
+class TestServiceFork:
+    """Every job is a fork of the service: of a one-thread process that
+    imported the worker's modules, holding none of the service's
+    sockets."""
+
+    def test_a_service_bound_to_localhost_computes_a_job(self, tmp_path):
+        # asyncio would resolve the name on a thread that outlives it.
+        async def scenario():
+            service = await start_service(
+                config_for(tmp_path, host="localhost"))
+            client = await _Client.connect(service.port)
+            reply = await client.request(
+                {"id": "l", "op": "lint", "witness": "pht"}, timeout=60.0)
+            client.close()
+            await stop_service(service)
+            return reply
+
+        reply = asyncio.run(scenario())
+        assert reply["ok"] is True and reply["cached"] is False, reply
+
+    def test_a_forked_job_holds_no_socket(self, tmp_path):
         async def scenario():
             service = await start_service(config_for(tmp_path),
-                                          work=sleeping_work)
+                                          work=socket_fds)
             client = await _Client.connect(service.port)
-            await client.send({"id": "t1", "op": "lint", "witness": "pht"})
-
-            async def first_attempt_running():
-                while not service.static_pool._active:
-                    await asyncio.sleep(0.01)
-
-            await asyncio.wait_for(first_attempt_running(), 30.0)
-            (orphan,) = service.static_pool._active
-            # The retry, and every later job, runs the real work.
-            service.static_pool.work = functools.partial(lint_job,
-                                                         allow_chaos=False)
-            killed = pool.template_pid()
-            os.kill(killed, signal.SIGKILL)
-            retried = await client.recv(timeout=60.0)
-            after = await client.request(
-                {"id": "t2", "op": "lint", "witness": "stl"}, timeout=60.0)
+            await client.request({"id": "p", "op": "ping"})
+            # Held now: the listener, both ends of the connection and
+            # the event loop's self-pipe.
+            row = await service.static_pool.submit(
+                {}, key="fds", deadline=time.monotonic() + 30)
             client.close()
-            report = await stop_service(service)
-            return retried, after, orphan.pid, killed, report
+            await stop_service(service)
+            return row
 
-        retried, after, orphan, killed, report = asyncio.run(scenario())
-        assert retried["ok"] is True and retried["tier"] == "static"
-        assert after["ok"] is True and after["cached"] is False
-        assert pool.template_pid() != killed
-        assert _gone(orphan), "the orphaned worker must not outlive it"
-        workers = report["stats"]["service"]["workers"]
-        assert workers["deaths"] == 1 and workers["restarts"] == 1
+        assert asyncio.run(scenario())["sockets"] == []
+
+    def test_two_services_on_one_loop_compute_a_job_each(self, tmp_path):
+        async def scenario():
+            replies = []
+            for name, witness in (("first", "pht"), ("second", "stl")):
+                service = await start_service(
+                    config_for(tmp_path / name))
+                client = await _Client.connect(service.port)
+                replies.append(await client.request(
+                    {"id": name, "op": "lint", "witness": witness},
+                    timeout=60.0))
+                client.close()
+                await stop_service(service)
+            return replies
+
+        for reply in asyncio.run(scenario()):
+            assert reply["ok"] is True and reply["cached"] is False, reply
+
+    def test_preload_is_in_the_fork(self, tmp_path):
+        # A fresh interpreter, so the preload really runs; its script
+        # comes on stdin, which no fork could re-import.
+        env = dict(pool.worker_env(),
+                   PYTHONWARNINGS="error::DeprecationWarning")
+        proc = subprocess.run(
+            [sys.executable, "-", str(tmp_path / "state")],
+            input=PRELOAD_PROBE, capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert not any(report["before"].values()), report
+        assert all(report["in_fork"].values()), report
+
+    def test_each_job_gets_a_fresh_image(self, tmp_path):
+        async def scenario():
+            service = await start_service(config_for(tmp_path),
+                                          work=image_mark)
+            rows = [await service.static_pool.submit(
+                {}, key=f"mark{n}", deadline=time.monotonic() + 30)
+                for n in range(2)]
+            await stop_service(service)
+            return rows
+
+        first, second = asyncio.run(scenario())
+        assert first["seen"] is False and second["seen"] is False
 
 
 class TestStdio:
     def test_two_lines_then_eof(self, tmp_path):
-        """Over ``--stdio`` (whose stdout the worker template shares),
-        two lint lines then EOF give exactly two JSON lines and exit 0."""
+        """Over ``--stdio`` (the protocol stream every fork inherits as
+        its stdout until it moves fd 1 to its log), two lint lines then
+        EOF give exactly two JSON lines and exit 0.  The service is a
+        fresh interpreter, so its preload thread runs, and warnings are
+        errors there: a fork before that thread ended would fail."""
         lines = [json.dumps({"id": f"s{i}", "op": "lint", "witness": w})
                  for i, w in enumerate(("pht", "stl"))]
+        env = dict(pool.worker_env(),
+                   PYTHONWARNINGS="error::DeprecationWarning")
         proc = subprocess.run(
             [sys.executable, "-m", "repro.service", "--state-dir",
              str(tmp_path / "state"), "--stdio"],
             input="\n".join(lines) + "\n", capture_output=True, text=True,
-            env=pool.worker_env(), timeout=120)
+            env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout.splitlines()
         assert len(out) == 2, proc.stdout

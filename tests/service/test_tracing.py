@@ -18,6 +18,10 @@ from repro.telemetry.obs import (SPAN_CACHE_LOOKUP, SPAN_POOL_DISPATCH,
 from tests.service.test_server import (config_for, crashing_work,
                                        start_service, stop_service)
 
+#: Every worker fork must happen in a one-thread process.
+pytestmark = pytest.mark.filterwarnings(
+    "error:forking a worker:DeprecationWarning")
+
 
 class TestTracingEndToEnd:
     @pytest.fixture(scope="class")
