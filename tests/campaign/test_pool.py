@@ -1,16 +1,21 @@
 """The shared process-pool core (campaign + service supervision)."""
 
+import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
+
+import pytest
 
 from repro.campaign import pool
 from repro.campaign.pool import classify_exit
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.cells import CampaignConfig
+from repro.service import supervisor
 
 from tests.campaign import forked_jobs
 
@@ -46,14 +51,16 @@ class TestClassifyExit:
 
 
 class TestWorkerProcess:
-    """The launch contract, over :func:`fork` of this process."""
+    """The launch contract, over :func:`fork` of this process;
+    :class:`TestForkedWorkerProcess` reruns every test over a fork of
+    this process in the service's state."""
 
     def _spawn(self, tmp_path, work, job=None, **kwargs):
         paths = {name: str(tmp_path / name)
                  for name in ("out", "hb", "log")}
         worker = pool.fork(work, job, out_path=paths["out"],
-                               heartbeat_path=paths["hb"],
-                               log_path=paths["log"], **kwargs)
+                           heartbeat_path=paths["hb"],
+                           log_path=paths["log"], **kwargs)
         return worker, paths
 
     def _finish(self, worker):
@@ -159,6 +166,43 @@ class TestWorkerProcess:
             os.close(write_fd)
         assert worker.exit() is None
         worker.reap()
+
+
+@pytest.fixture
+def service_state():
+    """This process as a service job's fork finds it: the worker's
+    modules preloaded, a no-op SIGTERM/SIGINT handler and a signal
+    wakeup fd installed as asyncio's ``add_signal_handler`` does, and a
+    listening socket open."""
+    asyncio.run(supervisor.preloaded())
+    listener = socket.create_server(("127.0.0.1", 0))
+    wake_read, wake_write = socket.socketpair()
+    wake_write.setblocking(False)
+    handlers = {sig: signal.signal(sig, lambda *_: None)
+                for sig in (signal.SIGTERM, signal.SIGINT)}
+    wakeup = signal.set_wakeup_fd(wake_write.fileno())
+    try:
+        yield
+    finally:
+        signal.set_wakeup_fd(wakeup)
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+        for sock in (listener, wake_read, wake_write):
+            sock.close()
+
+
+@pytest.mark.usefixtures("service_state")
+class TestForkedWorkerProcess(TestWorkerProcess):
+    """The launch contract, over a fork of this process holding what a
+    service holds when it forks a job (:func:`service_state`)."""
+
+    def test_reap_ends_by_sigterm(self, tmp_path):
+        # Not by the copied no-op handler and the SIGKILL escalation.
+        worker, _ = self._spawn(tmp_path, forked_jobs.sleep, 600)
+        started = time.monotonic()
+        worker.reap()
+        assert time.monotonic() - started < 1.5
+        assert worker.proc.poll() == -signal.SIGTERM
 
 
 class TestSelfFork:
