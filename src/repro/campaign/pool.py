@@ -217,8 +217,13 @@ _SUPERVISOR_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 def _close_sockets() -> None:
-    """Close every socket fd above 2 that the fork inherited."""
-    for name in os.listdir("/proc/self/fd"):
+    """Close every socket fd above 2 that the fork inherited, as far as
+    ``/dev/fd`` lists them (only the service's forks inherit any)."""
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:
+        return
+    for name in names:
         fd = int(name)
         if fd > 2:
             with contextlib.suppress(OSError):   # the listing's own, closed

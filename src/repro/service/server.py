@@ -185,17 +185,17 @@ class SpecLintService:
         """Bind the TCP listener, start the worker modules' preload off
         the event loop, and start the dispatcher tasks.
 
-        The host is resolved here, on the loop's thread: asyncio would
-        resolve a name such as ``localhost`` on its default executor,
-        whose thread outlives the call, and a worker must be forked from
-        a one-thread process.
+        The host is resolved here, on the loop's thread, and asyncio gets
+        the numeric address of every result, which it binds without a
+        lookup of its own: given a name such as ``localhost``, asyncio
+        would resolve it on its default executor, whose thread outlives
+        the call, and a worker must be forked from a one-thread process.
         """
-        family, _, _, _, address = socket.getaddrinfo(
+        hosts = [address[0] for *_, address in socket.getaddrinfo(
             self.config.host or None, self.config.port,
-            type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)[0]
+            type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)]
         self._server = await asyncio.start_server(
-            self._handle_connection,
-            sock=socket.create_server(address, family=family),
+            self._handle_connection, hosts, self.config.port,
             limit=max(self.config.max_request_bytes * 2, 64 * 1024))
         self.port = self._server.sockets[0].getsockname()[1]
         start_preload()

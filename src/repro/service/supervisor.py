@@ -40,7 +40,6 @@ as evidence, also past a service restart.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import functools
 import importlib
@@ -49,7 +48,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.campaign import pool
 from repro.campaign.heartbeat import Heartbeat
@@ -71,9 +70,8 @@ WORKER_MODULES = ("repro.service.worker", "repro.analysis.modular",
 #: Past a liveness deadline before re-checking (the checks are strict).
 _CHECK_SLACK_S = 0.001
 
-#: This process's one import of :data:`WORKER_MODULES`: the thread that
-#: runs it and the future it settles when done.
-_preload: Optional[Tuple[threading.Thread, concurrent.futures.Future]] = None
+#: The thread of this process's one import of :data:`WORKER_MODULES`.
+_preload: Optional[threading.Thread] = None
 
 
 def lint_job(job: dict, heartbeat: Heartbeat,
@@ -88,12 +86,10 @@ def lint_job(job: dict, heartbeat: Heartbeat,
     return {"row": run_job(job, heartbeat, allow_chaos)}
 
 
-def _import_worker(done: concurrent.futures.Future) -> None:
-    try:
-        for name in WORKER_MODULES:
-            importlib.import_module(name)
-    finally:   # a failed import fails again, with its traceback, in a job
-        done.set_result(None)
+def _import_worker() -> None:
+    # A failed import fails again, with its traceback, in a job.
+    for name in WORKER_MODULES:
+        importlib.import_module(name)
 
 
 def start_preload() -> None:
@@ -103,23 +99,19 @@ def start_preload() -> None:
     global _preload
     if _preload is None \
             and not all(name in sys.modules for name in WORKER_MODULES):
-        done: concurrent.futures.Future = concurrent.futures.Future()
-        done.set_running_or_notify_cancel()   # a waiter cannot cancel it
-        thread = threading.Thread(target=_import_worker, args=(done,),
-                                  name="preload", daemon=True)
-        thread.start()
-        _preload = (thread, done)
+        _preload = threading.Thread(target=_import_worker, name="preload",
+                                    daemon=True)
+        _preload.start()
 
 
 async def preloaded() -> None:
-    """Return once the preload is done and its thread has ended, so the
+    """Return once the preload's thread has ended and is joined, so the
     next fork copies a one-thread process."""
     start_preload()
     if _preload is not None:
-        thread, done = _preload
-        if not done.done():
-            await asyncio.wrap_future(done)
-        thread.join()
+        while _preload.is_alive():
+            await asyncio.sleep(0.01)
+        _preload.join()
 
 
 async def _sleep_until_exit(worker: WorkerProcess, timeout: float) -> None:

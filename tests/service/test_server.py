@@ -3,6 +3,7 @@
 import asyncio
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -74,6 +75,28 @@ async def stop_service(service: SpecLintService) -> dict:
     service.request_drain()
     await asyncio.wait_for(service.wait_drained(), 30.0)
     return service.shutdown_report or {}
+
+
+def listening(service: SpecLintService) -> dict:
+    """The port of each address the service listens on (with port 0,
+    each address of a host that resolves to several gets its own)."""
+    return dict(sock.getsockname()[:2] for sock in service._server.sockets)
+
+
+def addresses(host: str) -> set:
+    """Every address a passive lookup of ``host`` gives, less those of a
+    family this system opens no socket of: what asyncio binds for
+    ``host``."""
+    found = set()
+    for family, *_, address in socket.getaddrinfo(
+            host or None, 0, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE):
+        try:
+            socket.socket(family, socket.SOCK_STREAM).close()
+        except OSError:
+            continue
+        found.add(address[0])
+    return found
 
 
 class TestLintEndToEnd:
@@ -312,19 +335,25 @@ class TestServiceFork:
     imported the worker's modules, holding none of the service's
     sockets."""
 
-    def test_a_service_bound_to_localhost_computes_a_job(self, tmp_path):
-        # asyncio would resolve the name on a thread that outlives it.
+    @pytest.mark.parametrize("host", ["localhost", ""],
+                             ids=["localhost", "every-interface"])
+    def test_a_service_on_a_host_name_binds_every_address(self, tmp_path,
+                                                           host):
+        # asyncio would resolve the name on a thread that outlives it;
+        # an empty host is every interface, IPv4 and IPv6 alike.
         async def scenario():
-            service = await start_service(
-                config_for(tmp_path, host="localhost"))
-            client = await _Client.connect(service.port)
+            service = await start_service(config_for(tmp_path, host=host))
+            ports = listening(service)
+            ipv4 = "127.0.0.1" if host == "localhost" else "0.0.0.0"
+            client = await _Client.connect(ports[ipv4])
             reply = await client.request(
                 {"id": "l", "op": "lint", "witness": "pht"}, timeout=60.0)
             client.close()
             await stop_service(service)
-            return reply
+            return ports, reply
 
-        reply = asyncio.run(scenario())
+        ports, reply = asyncio.run(scenario())
+        assert set(ports) == addresses(host)
         assert reply["ok"] is True and reply["cached"] is False, reply
 
     def test_a_forked_job_holds_no_socket(self, tmp_path):
